@@ -29,6 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .braid import BraidWord
+from .errors import BudgetExceededError
 
 VACUUM = 0
 TAU = 1
@@ -64,6 +65,10 @@ MAX_ANYONS = 24
 # of the real and imaginary parts puts the combined complex estimate
 # within eps of the normalized trace with probability >= 1 - delta.
 SAMPLE_CONSTANT = 8
+
+# Samples per part beyond which jones_estimate refuses: a few seconds of
+# sampling here, against about 33k per part at eps = 0.03, delta = 0.05.
+MAX_SAMPLES_PER_PART = 1_000_000
 
 
 def quantum_dimension(charge: int) -> float:
@@ -368,6 +373,11 @@ def jones_estimate(
     """
     if not 0 < epsilon < 1 or not 0 < delta < 1:
         raise ValueError("epsilon and delta must lie in (0, 1)")
+    m = sample_count(epsilon, delta)
+    if m > MAX_SAMPLES_PER_PART:
+        raise BudgetExceededError(
+            f"estimate needs {m} samples per part, budget allows {MAX_SAMPLES_PER_PART}"
+        )
     n = b.strands
     rng = random.Random(seed)
     sectors = []
@@ -387,7 +397,6 @@ def jones_estimate(
             r -= w
         return sectors[-1][0], rng.randrange(sectors[-1][1])
 
-    m = sample_count(epsilon, delta)
     sums = [0, 0]
     for part in (0, 1):
         for _ in range(m):

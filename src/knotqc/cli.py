@@ -103,7 +103,11 @@ def cmd_invariant(args) -> int:
         if args.t is None:
             raise ParseError("jones-at needs --t")
         t = _parse_complex(args.t)
-        value = format_complex(jones_at(diagram, t, budget))
+        if t == 0:
+            raise ValueError("t must be nonzero")
+        poly, stats = homfly_with_stats(diagram, budget)
+        value = format_complex(specialize_jones(poly).evaluate(cmath.sqrt(t)))
+        meta["nodes"] = str(stats.nodes)
         meta["t"] = args.t
     elif name == "coeff":
         if args.k is None:

@@ -157,25 +157,22 @@ class PDDiagram:
     def canonical_key(self) -> str:
         """Relabeling-invariant code, used to memoize skein recursion.
 
-        Connected pieces are encoded by a deterministic traversal
-        re-numbering of crossings and arcs, minimized over every starting
-        pass and over global orientation reversal (which preserves the
-        two-variable invariant), then sorted. Equal keys imply diagrams
-        equal up to relabeling or full reversal of a split piece.
+        Each connected piece is traversed from a starting pass, numbering
+        crossings in the order they are first met. Every pass emits one
+        int, 4*crossing_number + 2*(entered on the over-strand) +
+        (sign > 0); when the traversal has closed a component it emits -1
+        and restarts at the earliest-numbered crossing with an unvisited
+        pass. The sequence is a signed multi-component Gauss code, so it
+        determines the piece up to relabeling. The piece's code is the
+        least sequence over every starting pass and both orientations
+        (reversal preserves the two-variable invariant); a candidate is
+        dropped at its first symbol above the best so far. Piece codes
+        are sorted and joined after the free-loop count. Equal keys hold
+        exactly for diagrams equal up to relabeling and reversal of
+        split pieces.
         """
-        pieces = self._pieces()
-        keys = []
-        for piece in pieces:
-            best = None
-            for variant in (piece, piece.reversed()):
-                inflow = variant._inflow()
-                for ci in range(len(variant.crossings)):
-                    for slot in variant.crossings[ci].in_slots():
-                        code = _encode_traversal(variant, inflow, (ci, slot))
-                        if best is None or code < best:
-                            best = code
-            keys.append(best or "")
-        return f"L{self.free_loops}|" + "||".join(sorted(keys))
+        codes = sorted(",".join(map(str, _least_code(p))) for p in self._pieces())
+        return f"L{self.free_loops}|" + "||".join(codes)
 
     def _pieces(self) -> list["PDDiagram"]:
         """Split into connected pieces (free loops stay on the parent)."""
@@ -241,43 +238,74 @@ class PDDiagram:
             raise ParseError(str(exc)) from None
 
 
-def _encode_traversal(d: PDDiagram, inflow, start: tuple[int, int]) -> str:
-    """Deterministic re-encoding of a connected diagram from one starting pass."""
-    crossing_number: dict[int, int] = {}
-    arc_number: dict[int, int] = {}
-    visited: set[tuple[int, int]] = set()
-    total = 2 * len(d.crossings)
-    pos = start
-    while len(visited) < total:
-        if pos in visited or pos is None:
-            pos = _next_start(d, crossing_number, visited)
-        ci, slot = pos
-        visited.add(pos)
-        if ci not in crossing_number:
-            crossing_number[ci] = len(crossing_number)
-        arc_in = d.crossings[ci].arcs[slot]
-        if arc_in not in arc_number:
-            arc_number[arc_in] = len(arc_number)
-        arc_out = d.crossings[ci].arcs[d.crossings[ci].exit_slot(slot)]
-        pos = inflow[arc_out]
-    order = sorted(crossing_number, key=crossing_number.get)
-    parts = []
-    for ci in order:
-        c = d.crossings[ci]
-        parts.append(
-            ",".join(str(arc_number[a]) for a in c.arcs) + f":{'+' if c.sign > 0 else '-'}"
-        )
-    return ";".join(parts)
+def _least_code(d: PDDiagram) -> list[int]:
+    """The least traversal code of a connected diagram (see canonical_key)."""
+    n = len(d.crossings)
+    inflow = d._inflow()
+    # Pass 2*ci enters crossing ci on the under-strand, 2*ci + 1 on the
+    # over-strand; low[p] is the part of its symbol that does not depend
+    # on numbering. Reversal keeps each pass's strand and sign and walks
+    # the passes backwards.
+    succ = [0] * (2 * n)
+    low = [0] * (2 * n)
+    for ci, c in enumerate(d.crossings):
+        for slot in c.in_slots():
+            p = 2 * ci + (slot > 0)
+            nci, nslot = inflow[c.arcs[c.exit_slot(slot)]]
+            succ[p] = 2 * nci + (nslot > 0)
+            low[p] = 2 * (slot > 0) + (c.sign > 0)
+    pred = [0] * (2 * n)
+    for p, q in enumerate(succ):
+        pred[q] = p
+    # Under-passes of the negative crossings, or of all when none is
+    # negative, are a start set that relabeling and reversal preserve.
+    starts = [2 * ci for ci, c in enumerate(d.crossings) if c.sign < 0] or range(0, 2 * n, 2)
+    best: list[int] = []
+    for step in (succ, pred):
+        for start in starts:
+            code = _traverse(step, low, start, best)
+            if code is not None:
+                best = code
+    return best
 
 
-def _next_start(d: PDDiagram, crossing_number, visited):
-    # Earliest-numbered crossing with an unvisited entry pass; in a
-    # connected piece one always exists until the traversal is complete.
-    for ci in sorted(crossing_number, key=crossing_number.get):
-        for slot in d.crossings[ci].in_slots():
-            if (ci, slot) not in visited:
-                return (ci, slot)
-    raise AssertionError("disconnected piece handed to traversal encoder")
+def _traverse(
+    step: list[int], low: list[int], start: int, best: list[int]
+) -> list[int] | None:
+    """The code from one starting pass, or None once it exceeds ``best``."""
+    total = len(step)
+    number = [-1] * (total // 2)
+    order: list[int] = []
+    seen = bytearray(total)
+    code: list[int] = []
+    tied = bool(best)
+    scan = 0
+    p = start
+    for _ in range(total):
+        if seen[p]:
+            # Restart at the earliest-numbered crossing with an unvisited
+            # pass; in a connected piece one exists until the end.
+            while seen[2 * order[scan]] and seen[2 * order[scan] + 1]:
+                scan += 1
+            p = 2 * order[scan] + seen[2 * order[scan]]
+            if tied:
+                # -1 sits below every pass symbol.
+                tied = best[len(code)] == -1
+            code.append(-1)
+        seen[p] = 1
+        ci = p >> 1
+        if number[ci] < 0:
+            number[ci] = len(order)
+            order.append(ci)
+        symbol = 4 * number[ci] + low[p]
+        if tied:
+            b = best[len(code)]
+            if symbol > b:
+                return None
+            tied = symbol == b
+        code.append(symbol)
+        p = step[p]
+    return None if tied else code
 
 
 def closure_to_diagram(b: BraidWord) -> PDDiagram:

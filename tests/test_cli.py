@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -31,7 +32,10 @@ def test_invariant_jones_at_one(capsys):
         capsys, "invariant", "--braid", "1 1 1", "--invariant", "jones-at", "--t", "1+0i"
     )
     assert code == 0
-    assert InvariantReport.from_text(out).value == "1+0i"
+    report = InvariantReport.from_text(out)
+    assert report.value == "1+0i"
+    _, out, _ = run(capsys, "invariant", "--braid", "1 1 1", "--invariant", "jones")
+    assert report.metadata["nodes"] == InvariantReport.from_text(out).metadata["nodes"]
 
 
 def test_invariant_coeff(capsys):
@@ -173,6 +177,16 @@ def test_estimate_invalid_epsilon(capsys):
         capsys, "estimate", "--braid", "1", "--epsilon", "2.0", "--delta", "0.5"
     )
     assert code == 1
+
+
+def test_estimate_sample_budget_refused_fast(capsys):
+    t0 = time.perf_counter()
+    code, _, err = run(
+        capsys, "estimate", "--braid", "1", "--epsilon", "1e-6", "--delta", "0.5"
+    )
+    assert code == 2
+    assert "budget" in err
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_table_groups(capsys):

@@ -18,6 +18,8 @@ from knotqc.diagram import (
 )
 from knotqc.errors import BudgetExceededError, ParseError
 
+from oracle_canonical import oracle_key
+
 TREFOIL_CODE = "O1+U2+O3+U1+O2+U3+"
 INTERLACED = "O1+O2+U1+U2+"
 
@@ -119,6 +121,49 @@ def test_canonical_key_distinguishes():
 
 def test_canonical_key_unknot_constant():
     assert PDDiagram((), 1).canonical_key() == "L1|"
+
+
+def _relabel_and_shuffle(d, rng):
+    arcs = d.arcs()
+    mapping = dict(zip(arcs, rng.sample(range(1000, 1000 + 3 * len(arcs)), len(arcs))))
+    crossings = list(d.relabel(mapping).crossings)
+    rng.shuffle(crossings)
+    return PDDiagram(tuple(crossings), d.free_loops)
+
+
+def _reverse_some_pieces(d, rng):
+    crossings = []
+    for piece in d._pieces():
+        crossings.extend((piece.reversed() if rng.random() < 0.5 else piece).crossings)
+    return PDDiagram(tuple(crossings), d.free_loops)
+
+
+def test_canonical_key_matches_oracle_partition():
+    # Braid closures, their switches and smoothings (split pieces, free
+    # loops), and relabeled, reordered and partly reversed copies: the key
+    # and the reference string encoder must group them identically.
+    rng = random.Random(2024)
+    corpus = []
+    while len(corpus) < 600:
+        b = random_braid(rng.randrange(2, 6), rng.randrange(0, 10), rng.randrange(10**9))
+        family = [closure_to_diagram(b)]
+        for _ in range(2):
+            d = family[-1]
+            if d.crossings:
+                k = rng.randrange(len(d.crossings))
+                family += [d.switch_crossing(k), d.smooth_crossing(k)]
+        for d in family:
+            corpus += [d, d.reversed(), _relabel_and_shuffle(d, rng)]
+            corpus.append(_relabel_and_shuffle(_reverse_some_pieces(d, rng), rng))
+    new_to_old: dict[str, str] = {}
+    old_to_new: dict[str, str] = {}
+    for d in corpus:
+        new, old = d.canonical_key(), oracle_key(d)
+        assert new_to_old.setdefault(new, old) == old
+        assert old_to_new.setdefault(old, new) == new
+    assert len(new_to_old) < len(corpus) // 2
+    assert any(len(d._pieces()) > 1 for d in corpus)
+    assert any(d.free_loops and d.crossings for d in corpus)
 
 
 def test_pd_text_round_trip():

@@ -222,3 +222,17 @@ def test_unmemoized_node_bound_on_torus_words():
         d = closure_to_diagram(BraidWord(2, (1,) * c))
         _, stats = homfly_with_stats(d, SkeinBudget(memo_enabled=False))
         assert stats.nodes <= 2**c
+
+
+def test_skein_fingerprint_is_pinned():
+    # Node and memo-hit counts of the memoized recursion; a canonical key
+    # that merged or split memo classes differently would move them.
+    cases = [
+        (BraidWord(2, (1,) * 30), (59, 28)),
+        (BraidWord(3, (1, -2) * 8), (409, 193)),
+        (BraidWord(3, (1, 2) * 10), (775, 375)),
+        (random_braid(5, 22, 11), (943, 348)),
+    ]
+    for word, expected in cases:
+        _, stats = homfly_with_stats(closure_to_diagram(word.free_reduce()))
+        assert (stats.nodes, stats.memo_hits) == expected
