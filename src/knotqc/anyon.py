@@ -9,6 +9,12 @@ the pair's fusion channel, and through the golden-ratio F matrix when
 both channels are open. Qubits live in anyon quartets; measuring fuses
 the first pair of each quartet (vacuum = 0, combined = 1).
 
+One table per (pair, anyon count, sector) records that case analysis:
+each path's partner (itself when the channel is forced) and its F-basis
+row. Exchanges and fusion projections are channel weightings read off
+the table, applied as an O(dim) gather; only the trace and the
+estimator build a dense sector unitary, under MAX_UNITARY_BYTES.
+
 The weighted trace of a braid's unitary, normalized by a writhe phase
 and a per-strand loop weight, equals the Jones evaluation at
 t = e^(2 pi i / 5) of the braid's trace closure; the constants below
@@ -58,8 +64,13 @@ POSITIVE_ACTS_CONJUGATED = True
 TRACE_ALPHA = cmath.exp(-1j * math.pi / 5)
 TRACE_LOOP_WEIGHT = -PHI
 
-# Fib(n+-1) state-space growth; keep the dense simulator at desk scale.
+# Fusion paths are enumerated as tuples; 24 anyons is about 75k paths.
 MAX_ANYONS = 24
+
+# Byte budget of one dense complex unitary on a sector, checked from the
+# sector dimension before anything is built: markov_trace, jones_estimate
+# and sigma_unitary refuse past it (up to 18 anyons fit at 256 MB).
+MAX_UNITARY_BYTES = 256 * 2**20
 
 # Hoeffding constant: m = ceil(8 ln(2/delta) / eps^2) samples for each
 # of the real and imaginary parts puts the combined complex estimate
@@ -70,9 +81,28 @@ SAMPLE_CONSTANT = 8
 # sampling here, against about 33k per part at eps = 0.03, delta = 0.05.
 MAX_SAMPLES_PER_PART = 1_000_000
 
+_PHASES = np.array(R_PHASES)
+_CHANNEL_WEIGHTS = np.eye(2)
+
 
 def quantum_dimension(charge: int) -> float:
     return 1.0 if charge == VACUUM else PHI
+
+
+def _dense_sectors(n: int) -> list[tuple[int, int]]:
+    """(total, dim) of each nonempty sector of n anyons, refused with
+    BudgetExceededError when a dense unitary on one would not fit. The
+    dimensions are Fibonacci numbers, so no path is enumerated first."""
+    vacuum, tau = 1, 0
+    for _ in range(n):
+        vacuum, tau = tau, vacuum + tau
+    nbytes = max(vacuum, tau) ** 2 * np.dtype(complex).itemsize
+    if nbytes > MAX_UNITARY_BYTES:
+        raise BudgetExceededError(
+            f"a dense unitary on {n} anyons needs {nbytes} bytes, "
+            f"budget allows {MAX_UNITARY_BYTES}"
+        )
+    return [(total, dim) for total, dim in ((VACUUM, vacuum), (TAU, tau)) if dim]
 
 
 @lru_cache(maxsize=None)
@@ -81,7 +111,7 @@ def fusion_basis(n: int, total: int) -> tuple[tuple[int, ...], ...]:
     if n < 0:
         raise ValueError("anyon count cannot be negative")
     if n > MAX_ANYONS:
-        raise ValueError(f"dense simulator is limited to {MAX_ANYONS} anyons")
+        raise ValueError(f"path enumeration is limited to {MAX_ANYONS} anyons")
     paths = [(VACUUM,)]
     for _ in range(n):
         grown = []
@@ -100,46 +130,77 @@ def _basis_index(n: int, total: int) -> dict[tuple[int, ...], int]:
     return {p: k for k, p in enumerate(fusion_basis(n, total))}
 
 
-@lru_cache(maxsize=None)
-def sigma_unitary(i: int, n: int, total: int) -> np.ndarray:
-    """Matrix of the exchange of anyons i and i+1 on the fusion-path basis."""
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"exchange index {i} out of range for {n} anyons")
+@lru_cache(maxsize=256)
+def _pair_table(a: int, n: int, total: int):
+    """The fusion channel of anyons (a, a+1) on every basis path.
+
+    Flanking labels 1, 1 force the vacuum channel and unequal flanks the
+    tau channel; such a path is its own partner. Flanks t, t leave both
+    channels open: the vacuum-mid and tau-mid paths are partners, and the
+    channel amplitudes are F times theirs. Returns (partner, diag, off),
+    where an operator that multiplies channel c by w[c] is diag @ w on a
+    path's own amplitude and off @ w on its partner's. Entries are O(dim)
+    arrays, a few hundred at most.
+    """
+    if not 1 <= a <= n - 1:
+        raise ValueError(f"exchange index {a} out of range for {n} anyons")
     basis = fusion_basis(n, total)
     index = _basis_index(n, total)
-    dim = len(basis)
-    block = F_MATRIX @ np.diag(R_PHASES) @ F_MATRIX
-    u = np.zeros((dim, dim), dtype=complex)
-    for p_idx, path in enumerate(basis):
-        left, mid, right = path[i - 1], path[i], path[i + 1]
-        if left == VACUUM and right == VACUUM:
-            u[p_idx, p_idx] = R_PHASES[VACUUM]
-        elif left == TAU and right == TAU:
-            if mid == VACUUM:
-                q_idx = index[path[:i] + (TAU,) + path[i + 1 :]]
-                u[p_idx, p_idx] = block[0, 0]
-                u[p_idx, q_idx] = block[0, 1]
-                u[q_idx, p_idx] = block[1, 0]
-                u[q_idx, q_idx] = block[1, 1]
+    partner = np.arange(len(basis))
+    rows = np.zeros((len(basis), 2))
+    partner_rows = np.zeros((len(basis), 2))
+    for p, path in enumerate(basis):
+        left, mid, right = path[a - 1], path[a], path[a + 1]
+        if left == TAU and right == TAU:
+            partner[p] = index[path[:a] + (1 - mid,) + path[a + 1 :]]
+            rows[p] = F_MATRIX[mid]
+            partner_rows[p] = F_MATRIX[1 - mid]
         else:
-            u[p_idx, p_idx] = R_PHASES[TAU]
-    u.setflags(write=False)
-    return u
+            rows[p, VACUUM if left == right else TAU] = 1.0
+    return partner, rows * rows, rows * partner_rows
 
 
-def _letter_matrix(e: int, n: int, total: int) -> np.ndarray:
-    u = sigma_unitary(abs(e), n, total)
-    if (e > 0) == POSITIVE_ACTS_CONJUGATED:
-        return u.conj().T
-    return u
+def _pair_action(a: int, n: int, total: int, weights: np.ndarray):
+    """(partner, d, o) of the operator scaling pair (a, a+1)'s channels by weights."""
+    partner, diag, off = _pair_table(a, n, total)
+    return partner, diag @ weights, off @ weights
 
 
-@lru_cache(maxsize=None)
+def _letter_action(e: int, n: int, total: int):
+    """A braid letter's pair action. The F.R.F block is symmetric, so the
+    conjugate transpose a positive letter acts by is the conjugate."""
+    conjugated = (e > 0) == POSITIVE_ACTS_CONJUGATED
+    return _pair_action(abs(e), n, total, _PHASES.conj() if conjugated else _PHASES)
+
+
+def _act(action, x: np.ndarray) -> np.ndarray:
+    """x <- d*x + o*x[partner], in place, on a state or every column of a matrix."""
+    partner, d, o = action
+    if x.ndim == 2:
+        d, o = d[:, None], o[:, None]
+    gathered = x[partner]
+    gathered *= o
+    x *= d
+    x += gathered
+    return x
+
+
+def sigma_unitary(i: int, n: int, total: int) -> np.ndarray:
+    """Dense matrix of the exchange of anyons i and i+1 on the fusion-path
+    basis, for tests and inspection; the simulator applies the table."""
+    _dense_sectors(n)  # refuses past MAX_UNITARY_BYTES
+    u = np.eye(len(fusion_basis(n, total)), dtype=complex)
+    return _act(_pair_action(i, n, total, _PHASES), u)
+
+
+# Each entry is a dense sector unitary; two hold both sectors of the last
+# braid, so repeating a trace or an estimate of one braid still hits.
+@lru_cache(maxsize=2)
 def _braid_matrix(letters: tuple[int, ...], n: int, total: int) -> np.ndarray:
-    dim = len(fusion_basis(n, total))
-    m = np.eye(dim, dtype=complex)
+    """The braid's unitary on one sector: its letters pushed through the identity."""
+    m = np.eye(len(fusion_basis(n, total)), dtype=complex)
     for e in letters:
-        m = _letter_matrix(e, n, total) @ m
+        _act(_letter_action(e, n, total), m)
     m.setflags(write=False)
     return m
 
@@ -207,56 +268,20 @@ def apply_braid(state: AnyonState, b: BraidWord) -> AnyonState:
     """Evolve by the word's exchanges, first letter first."""
     if b.strands != state.n:
         raise ValueError(f"braid has {b.strands} strands, state has {state.n} anyons")
-    amp = state.amplitudes
+    amp = state.amplitudes.copy()
     for e in b.letters:
-        amp = _letter_matrix(e, state.n, state.total) @ amp
+        _act(_letter_action(e, state.n, state.total), amp)
     return AnyonState(state.n, state.total, amp)
-
-
-def _pair_groups(n: int, total: int, a: int):
-    """Iterate basis indices grouped by the fusion channel of pair (a, a+1).
-
-    Yields (kind, data): ("fixed", idx, channel) when the flanking labels
-    force the channel, ("mixed", idx_vacuum_mid, idx_tau_mid) when the
-    F matrix mixes the two mid labels.
-    """
-    basis = fusion_basis(n, total)
-    index = _basis_index(n, total)
-    for idx, path in enumerate(basis):
-        left, mid, right = path[a - 1], path[a], path[a + 1]
-        if left == VACUUM and right == VACUUM:
-            yield ("fixed", idx, VACUUM)
-        elif left == TAU and right == TAU:
-            if mid == VACUUM:
-                yield ("mixed", idx, index[path[:a] + (TAU,) + path[a + 1 :]])
-        else:
-            yield ("fixed", idx, TAU)
-
-
-def _pair_vacuum_probability(n: int, total: int, amp: np.ndarray, a: int) -> float:
-    p0 = 0.0
-    for kind, x, y in _pair_groups(n, total, a):
-        if kind == "fixed":
-            if y == VACUUM:
-                p0 += abs(amp[x]) ** 2
-        else:
-            cv = F_MATRIX[0, 0] * amp[x] + F_MATRIX[0, 1] * amp[y]
-            p0 += abs(cv) ** 2
-    return p0
 
 
 def _project_pair(n: int, total: int, amp: np.ndarray, a: int, channel: int) -> np.ndarray:
     """Project onto the pair (a, a+1) fusing to the channel; no renormalization."""
-    out = np.zeros_like(amp)
-    for kind, x, y in _pair_groups(n, total, a):
-        if kind == "fixed":
-            if y == channel:
-                out[x] = amp[x]
-        else:
-            c = F_MATRIX[channel, 0] * amp[x] + F_MATRIX[channel, 1] * amp[y]
-            out[x] = F_MATRIX[0, channel] * c
-            out[y] = F_MATRIX[1, channel] * c
-    return out
+    return _act(_pair_action(a, n, total, _CHANNEL_WEIGHTS[channel]), amp.copy())
+
+
+def _pair_vacuum_probability(n: int, total: int, amp: np.ndarray, a: int) -> float:
+    projected = _project_pair(n, total, amp, a, VACUUM)
+    return float(np.vdot(projected, projected).real)
 
 
 def fusion_probabilities(
@@ -305,10 +330,7 @@ def markov_trace(b: BraidWord, k: int = 5) -> complex:
         raise ValueError("only the Fibonacci (k = 5) path model is implemented")
     num = 0j
     den = 0.0
-    for total in (VACUUM, TAU):
-        dim = len(fusion_basis(b.strands, total))
-        if dim == 0:
-            continue
+    for total, dim in _dense_sectors(b.strands):
         w = quantum_dimension(total)
         num += w * np.trace(_braid_matrix(b.letters, b.strands, total))
         den += w * dim
@@ -325,27 +347,13 @@ def jones_via_trace(b: BraidWord) -> complex:
     return trace_normalization(b.strands, b.writhe()) * markov_trace(b)
 
 
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-
-
-def _hadamard_test_probs(m: np.ndarray, p_idx: int) -> tuple[float, float]:
-    """P(ancilla reads 0) for the real- and imaginary-part test circuits."""
-    dim = m.shape[0]
-    psi = np.zeros(2 * dim, dtype=complex)
-    psi[p_idx] = 1.0
-    h = np.kron(_HADAMARD, np.eye(dim))
-    controlled = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    controlled[:dim, :dim] = np.eye(dim)
-    controlled[dim:, dim:] = m
-    mid = controlled @ (h @ psi)
-    p_re = float(np.linalg.norm((h @ mid)[:dim]) ** 2)
-    s_dag = np.kron(np.diag([1, -1j]), np.eye(dim))
-    p_im = float(np.linalg.norm((h @ (s_dag @ mid))[:dim]) ** 2)
-    return p_re, p_im
-
-
 @dataclass(frozen=True)
 class JonesEstimate:
+    """An estimate with its run data. sum_re and sum_im are the +-1 sums of
+    the real- and imaginary-part Hadamard tests; stderr_re and stderr_im
+    are the empirical standard errors of sum / samples_per_part, the
+    normalized trace parts before the writhe and loop-weight scale."""
+
     value: complex
     exact_scale: float
     epsilon: float
@@ -357,10 +365,21 @@ class JonesEstimate:
     writhe: int
     alpha: complex = TRACE_ALPHA
     loop_weight: float = TRACE_LOOP_WEIGHT
+    sum_re: int = 0
+    sum_im: int = 0
+    stderr_re: float = 0.0
+    stderr_im: float = 0.0
 
 
 def sample_count(epsilon: float, delta: float) -> int:
     return math.ceil(SAMPLE_CONSTANT * math.log(2 / delta) / epsilon**2)
+
+
+def _hadamard_zero_probs(u: np.ndarray) -> tuple[list[float], list[float]]:
+    """P(ancilla reads 0) of the Hadamard test on each basis path p:
+    (1 + Re U_pp)/2, and with S-dagger on the ancilla (1 + Im U_pp)/2."""
+    diag = u.diagonal()
+    return ((1 + diag.real) / 2).tolist(), ((1 + diag.imag) / 2).tolist()
 
 
 def jones_estimate(
@@ -379,35 +398,29 @@ def jones_estimate(
             f"estimate needs {m} samples per part, budget allows {MAX_SAMPLES_PER_PART}"
         )
     n = b.strands
-    rng = random.Random(seed)
     sectors = []
-    for total in (VACUUM, TAU):
-        dim = len(fusion_basis(n, total))
-        if dim:
-            sectors.append((total, dim, quantum_dimension(total) * dim))
-    weight_sum = sum(w for _, _, w in sectors)
-    matrices = {total: _braid_matrix(b.letters, n, total) for total, _, _ in sectors}
-    probs: dict[tuple[int, int], tuple[float, float]] = {}
-
-    def draw_path() -> tuple[int, int]:
-        r = rng.random() * weight_sum
-        for total, dim, w in sectors:
-            if r < w:
-                return total, rng.randrange(dim)
-            r -= w
-        return sectors[-1][0], rng.randrange(sectors[-1][1])
-
-    sums = [0, 0]
-    for part in (0, 1):
+    for total, dim in _dense_sectors(n):
+        p_re, p_im = _hadamard_zero_probs(_braid_matrix(b.letters, n, total))
+        sectors.append((quantum_dimension(total) * dim, p_re, p_im))
+    weight_sum = sum(w for w, _, _ in sectors)
+    first_weight = sectors[0][0]
+    rng = random.Random(seed)
+    draw, randrange = rng.random, rng.randrange
+    sums = []
+    for part in (1, 2):
+        # A path is drawn by its quantum dimension: a sector by weight (of
+        # at most two, the last also takes round-off), then a path in it.
+        first, last = sectors[0][part], sectors[-1][part]
+        pm_sum = 0
         for _ in range(m):
-            key = draw_path()
-            if key not in probs:
-                probs[key] = _hadamard_test_probs(matrices[key[0]], key[1])
-            p_zero = probs[key][part]
-            sums[part] += 1 if rng.random() < p_zero else -1
+            probs = first if draw() * weight_sum < first_weight else last
+            p_zero = probs[randrange(len(probs))]
+            pm_sum += 1 if draw() < p_zero else -1
+        sums.append(pm_sum)
     # Each +-1 draw has expectation 2*P(0) - 1 = the tested trace part.
     trace_est = sums[0] / m + 1j * sums[1] / m
     norm = trace_normalization(n, b.writhe())
+    stderr_re, stderr_im = (math.sqrt((1 - (s / m) ** 2) / m) for s in sums)
     return JonesEstimate(
         value=norm * trace_est,
         exact_scale=abs(norm),
@@ -418,4 +431,8 @@ def jones_estimate(
         total_samples=2 * m,
         n=n,
         writhe=b.writhe(),
+        sum_re=sums[0],
+        sum_im=sums[1],
+        stderr_re=stderr_re,
+        stderr_im=stderr_im,
     )

@@ -188,6 +188,10 @@ def cmd_estimate(args) -> int:
         "loop_weight": repr(est.loop_weight),
         "strands": str(est.n),
         "writhe": str(est.writhe),
+        "sum_re": str(est.sum_re),
+        "sum_im": str(est.sum_im),
+        "stderr_re": repr(est.stderr_re),
+        "stderr_im": repr(est.stderr_im),
     }
     if args.check:
         budget = _default_budget(args)

@@ -1,10 +1,12 @@
 import cmath
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracle_anyon
 from knotqc.anyon import (
     PHI,
     R_PHASES,
@@ -24,8 +26,11 @@ from knotqc.anyon import (
     sample_measurement,
     sigma_unitary,
     trace_normalization,
+    _braid_matrix,
+    _hadamard_zero_probs,
 )
 from knotqc.braid import BraidWord, random_braid
+from knotqc.errors import BudgetExceededError
 from knotqc.skein import jones_at
 
 T5 = cmath.exp(2j * math.pi / 5)
@@ -370,3 +375,92 @@ def test_state_dump():
     text = s.dump()
     assert "1t1t1" in text
     assert len(text.splitlines()) == 2
+
+
+def test_braid_matrix_matches_dense_oracle():
+    rng = random.Random(37)
+    braids = 0
+    for _ in range(240):
+        n = rng.randrange(2, 11)
+        b = random_braid(n, rng.randrange(0, 16), rng.randrange(10**9))
+        for total in (VACUUM, TAU):
+            if not fusion_basis(n, total):
+                continue
+            got = _braid_matrix(b.letters, n, total)
+            want = oracle_anyon.dense_braid_matrix(b.letters, n, total)
+            assert np.max(np.abs(got - want), initial=0.0) < 1e-12
+        braids += 1
+    assert braids >= 200
+    for n in range(2, 11):
+        for total in (VACUUM, TAU):
+            for i in range(1, n):
+                got = sigma_unitary(i, n, total)
+                want = oracle_anyon.dense_sigma(i, n, total)
+                assert np.max(np.abs(got - want), initial=0.0) < 1e-15
+
+
+def test_closed_form_hadamard_probabilities_match_circuit():
+    rng = random.Random(41)
+    for _ in range(20):
+        n = rng.randrange(2, 8)
+        b = random_braid(n, rng.randrange(1, 12), rng.randrange(10**9))
+        for total in (VACUUM, TAU):
+            if not fusion_basis(n, total):
+                continue
+            u = _braid_matrix(b.letters, n, total)
+            p_re, p_im = _hadamard_zero_probs(u)
+            for p in range(u.shape[0]):
+                want = oracle_anyon.hadamard_test_probs(u, p)
+                assert abs(p_re[p] - want[0]) < 1e-12
+                assert abs(p_im[p] - want[1]) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "b, epsilon, delta, seed, value",
+    [
+        (BraidWord(2, (1, 1, 1)), 0.05, 0.01, 4,
+         -0.8020646342696178 + 1.3161059607061778j),
+        (random_braid(5, 20, 7), 0.1, 0.05, 7,
+         -0.6668249377463485 - 0.983244637431524j),
+        (BraidWord(8, (1, -2, 3, 3, -4, 5, -6, 7, -7, 2, 6, -5, 4, 1)), 0.05, 0.05, 123,
+         2.786492309287921 + 2.5626053154199058j),
+    ],
+)
+def test_jones_estimate_values_are_pinned(b, epsilon, delta, seed, value):
+    # The values of the dense-circuit estimator these replace: the closed
+    # form and the tightened sampling loop draw the same random stream.
+    est = jones_estimate(b, epsilon, delta, seed)
+    assert est.value == value
+    m = est.samples_per_part
+    assert est.value == trace_normalization(b.strands, b.writhe()) * (
+        est.sum_re / m + 1j * est.sum_im / m
+    )
+    assert est.stderr_re == math.sqrt((1 - (est.sum_re / m) ** 2) / m)
+    assert est.stderr_im == math.sqrt((1 - (est.sum_im / m) ** 2) / m)
+
+
+def test_measurement_on_twenty_anyons_builds_no_dense_matrix():
+    layout = QubitLayout.default(5)
+    dim = len(fusion_basis(20, VACUUM))
+    b = random_braid(20, 30, 43)
+    tracemalloc.start()
+    try:
+        state = apply_braid(init_state(5), b)
+        back = apply_braid(state, b.inverse())
+        p_all_zero = prob_all_zero(b * b.inverse(), layout)
+        bits = sample_measurement(back, layout, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dim * dim * 16 / 20
+    assert abs(state.norm() - 1) < 1e-12
+    assert abs(p_all_zero - 1.0) < 1e-12
+    assert bits == "00000"
+
+
+def test_dense_unitaries_refused_past_byte_budget():
+    for n in (19, 30):
+        with pytest.raises(BudgetExceededError):
+            markov_trace(BraidWord(n, (1,)))
+        with pytest.raises(BudgetExceededError):
+            sigma_unitary(1, n, VACUUM)

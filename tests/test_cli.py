@@ -189,6 +189,17 @@ def test_estimate_sample_budget_refused_fast(capsys):
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize("strands", [20, 30])
+def test_estimate_dimension_budget_refused_fast(capsys, strands):
+    t0 = time.perf_counter()
+    code, _, err = run(
+        capsys, "estimate", "--braid", f"n={strands} 1", "--epsilon", "0.5", "--delta", "0.5"
+    )
+    assert code == 2
+    assert "budget" in err
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_table_groups(capsys):
     code, out, _ = run(capsys, "table", "--strands", "2", "--maxlen", "4")
     assert code == 0
@@ -238,7 +249,7 @@ def test_bench_rows(capsys):
         assert int(fields["plain_nodes"]) <= int(fields["bound"])
 
 
-def test_report_round_trip():
+def test_report_round_trip(capsys):
     report = InvariantReport(
         input_kind="braid",
         input_text="1 1 1",
@@ -256,3 +267,14 @@ def test_report_round_trip():
         time_ms=3.25,
     )
     assert InvariantReport.from_text(exact.to_text()) == exact
+    _, out, _ = run(
+        capsys, "estimate", "--braid", "1 -2 1 2", "--epsilon", "0.2", "--delta", "0.1"
+    )
+    estimate = InvariantReport.from_text(out)
+    assert estimate.to_text() == out.rstrip("\n")
+    meta = estimate.metadata
+    m = int(meta["samples_per_part"])
+    for part in ("re", "im"):
+        s = int(meta[f"sum_{part}"])
+        assert abs(s) <= m and (s - m) % 2 == 0
+        assert float(meta[f"stderr_{part}"]) == math.sqrt((1 - (s / m) ** 2) / m)
