@@ -166,11 +166,16 @@ def _pair_action(a: int, n: int, total: int, weights: np.ndarray):
     return partner, diag @ weights, off @ weights
 
 
+@lru_cache(maxsize=256)
 def _letter_action(e: int, n: int, total: int):
     """A braid letter's pair action. The F.R.F block is symmetric, so the
-    conjugate transpose a positive letter acts by is the conjugate."""
+    conjugate transpose a positive letter acts by is the conjugate. Cached
+    like _pair_table; the arrays are read-only because they are shared."""
     conjugated = (e > 0) == POSITIVE_ACTS_CONJUGATED
-    return _pair_action(abs(e), n, total, _PHASES.conj() if conjugated else _PHASES)
+    action = _pair_action(abs(e), n, total, _PHASES.conj() if conjugated else _PHASES)
+    for array in action:
+        array.setflags(write=False)
+    return action
 
 
 def _act(action, x: np.ndarray) -> np.ndarray:

@@ -40,6 +40,7 @@ EXIT_NEGATIVE = 3
 
 _TABLE_MAX_STRANDS = 4
 _TABLE_MAX_LEN = 10
+_TABLE_MAX_WORDS = 200_000
 
 
 def _resolve(value: str | None) -> str | None:
@@ -218,14 +219,22 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def _reduced_conjugacy_key(word: BraidWord) -> tuple:
-    letters = word.free_reduce().letters
-    if not letters:
-        return (word.strands,)
-    rotations = [
-        letters[k:] + letters[:k] for k in range(len(letters))
-    ]
-    return (word.strands,) + min(rotations)
+def _table_word_count(n: int, maxlen: int) -> int:
+    """Freely reduced words on n strands of length 0..maxlen: 2(n-1)
+    first letters, then 2n-3 choices that do not cancel the last one."""
+    return 1 + sum(2 * (n - 1) * (2 * n - 3) ** (k - 1) for k in range(1, maxlen + 1))
+
+
+def _reduced_words(alphabet: list[int], length: int):
+    """Freely reduced words of one length, lexicographic in alphabet order."""
+    if length == 0:
+        yield ()
+        return
+    for prefix in _reduced_words(alphabet, length - 1):
+        last = prefix[-1] if prefix else 0
+        for e in alphabet:
+            if e != -last:
+                yield prefix + (e,)
 
 
 def cmd_table(args) -> int:
@@ -236,27 +245,38 @@ def cmd_table(args) -> int:
         )
     if n < 2:
         raise ParseError("table needs at least 2 strands")
+    count = _table_word_count(n, maxlen)
+    if count > _TABLE_MAX_WORDS:
+        raise BudgetExceededError(
+            f"table of {n} strands up to length {maxlen} has {count} reduced words, "
+            f"budget allows {_TABLE_MAX_WORDS}"
+        )
     budget = _default_budget(args)
     alphabet = [e for i in range(1, n) for e in (i, -i)]
     memo: dict = {}
-    seen: set[tuple] = set()
     groups: dict[str, list[str]] = {}
-    words = [()]
-    for _ in range(maxlen + 1):
-        next_words = []
-        for letters in words:
+    # A word that is not freely reduced has the key of its free reduction,
+    # a shorter word met at an earlier length, so only reduced words are
+    # enumerated. Their keys are their least rotations (which start at a
+    # least letter) and have their length, so keys never recur across
+    # lengths.
+    for length in range(maxlen + 1):
+        seen: set[tuple[int, ...]] = set()
+        for letters in _reduced_words(alphabet, length):
+            low = min(letters, default=0)
+            key = min(
+                (letters[k:] + letters[:k] for k, e in enumerate(letters) if e == low),
+                default=(),
+            )
+            if key in seen:
+                continue
+            seen.add(key)
             word = BraidWord(n, letters)
-            key = _reduced_conjugacy_key(word)
-            if key not in seen:
-                seen.add(key)
-                if word.closure_components() == 1:
-                    poly = specialize_jones(
-                        skein.homfly_braid(word, budget, memo)
-                    ).to_text("s")
-                    groups.setdefault(poly, []).append(word.to_text())
-            if len(letters) < maxlen:
-                next_words.extend(letters + (e,) for e in alphabet)
-        words = next_words
+            if word.closure_components() == 1:
+                poly = specialize_jones(
+                    skein.homfly(closure_to_diagram(word), budget, memo)
+                ).to_text("s")
+                groups.setdefault(poly, []).append(word.to_text())
     print(f"strands={n}")
     print(f"maxlen={maxlen}")
     print(f"groups={len(groups)}")

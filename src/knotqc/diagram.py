@@ -70,6 +70,20 @@ class PDDiagram:
         if set(inflow) != set(outflow):
             raise ValueError("every arc needs exactly one inflow and one outflow slot")
 
+    @classmethod
+    def _derived(cls, crossings: tuple[Crossing, ...], free_loops: int) -> "PDDiagram":
+        """A diagram the engine derives from a valid one, built unchecked.
+
+        Switching, smoothing, splitting and bigon cancellation keep every
+        arc's one inflow and one outflow, and braid closure produces them
+        by construction, so only input from outside goes through
+        __post_init__.
+        """
+        d = object.__new__(cls)
+        object.__setattr__(d, "crossings", crossings)
+        object.__setattr__(d, "free_loops", free_loops)
+        return d
+
     def _inflow(self) -> dict[int, tuple[int, int]]:
         table = {}
         for ci, c in enumerate(self.crossings):
@@ -106,7 +120,7 @@ class PDDiagram:
         else:
             new = Crossing((d, a, b, cc), +1)
         crossings = self.crossings[:index] + (new,) + self.crossings[index + 1 :]
-        return PDDiagram(crossings, self.free_loops)
+        return PDDiagram._derived(crossings, self.free_loops)
 
     def smooth_crossing(self, index: int) -> "PDDiagram":
         """Remove one crossing by the orientation-respecting reconnection."""
@@ -140,7 +154,7 @@ class PDDiagram:
             loops += 1
         else:
             rename(v2, u2)
-        return PDDiagram(tuple(rest), loops)
+        return PDDiagram._derived(tuple(rest), loops)
 
     def relabel(self, mapping: dict[int, int]) -> "PDDiagram":
         return PDDiagram(
@@ -198,7 +212,7 @@ class PDDiagram:
         groups: dict[int, list[Crossing]] = {}
         for ci, c in enumerate(self.crossings):
             groups.setdefault(find(ci), []).append(c)
-        return [PDDiagram(tuple(cs), 0) for cs in groups.values()]
+        return [PDDiagram._derived(tuple(cs), 0) for cs in groups.values()]
 
     def _get(self, index: int) -> Crossing:
         if not 0 <= index < len(self.crossings):
@@ -336,7 +350,7 @@ def closure_to_diagram(b: BraidWord) -> PDDiagram:
         Crossing(tuple(rename.get(a, a) for a in (a0, a1, a2, a3)), s)
         for (a0, a1, a2, a3, s) in records
     )
-    return PDDiagram(crossings, loops)
+    return PDDiagram._derived(crossings, loops)
 
 
 @dataclass(frozen=True)

@@ -151,7 +151,7 @@ def _cancel_bigons(d: PDDiagram) -> PDDiagram:
             loops += 1
         else:
             rename(out_b, in_b)
-        d = PDDiagram(tuple(rest), loops)
+        d = PDDiagram._derived(tuple(rest), loops)
 
 
 def _first_violation(d: PDDiagram) -> int | None:

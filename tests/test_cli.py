@@ -3,8 +3,10 @@ import time
 
 import pytest
 
-from knotqc.cli import main
+from knotqc.cli import _reduced_words, _table_word_count, main
 from knotqc.report import InvariantReport
+
+from oracle_table import oracle_table
 
 
 def run(capsys, *argv):
@@ -235,6 +237,36 @@ def test_table_guard(capsys):
     assert code == 2
     code, _, _ = run(capsys, "table", "--strands", "2", "--maxlen", "11")
     assert code == 2
+
+
+@pytest.mark.parametrize("strands,maxlen", [(2, 10), (3, 5), (3, 6), (4, 5)])
+def test_table_matches_all_words_oracle(capsys, strands, maxlen):
+    code, out, _ = run(
+        capsys, "table", "--strands", str(strands), "--maxlen", str(maxlen)
+    )
+    assert code == 0
+    assert out == oracle_table(strands, maxlen)
+
+
+def test_table_word_count_is_exact():
+    for n in (2, 3, 4):
+        alphabet = [e for i in range(1, n) for e in (i, -i)]
+        for maxlen in range(6):
+            words = [
+                w for length in range(maxlen + 1) for w in _reduced_words(alphabet, length)
+            ]
+            assert len(words) == len(set(words)) == _table_word_count(n, maxlen)
+            assert all(a != -b for w in words for a, b in zip(w, w[1:]))
+    assert _table_word_count(4, 6) == 23_437
+
+
+@pytest.mark.parametrize("maxlen", [8, 10])
+def test_table_word_budget_refused_fast(capsys, maxlen):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "table", "--strands", "4", "--maxlen", str(maxlen))
+    assert code == 2
+    assert "budget" in err and out == ""
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_bench_rows(capsys):

@@ -17,6 +17,7 @@ from knotqc.diagram import (
     realizable_unsigned,
 )
 from knotqc.errors import BudgetExceededError, ParseError
+from knotqc.skein import _cancel_bigons
 
 from oracle_canonical import oracle_key
 
@@ -164,6 +165,39 @@ def test_canonical_key_matches_oracle_partition():
     assert len(new_to_old) < len(corpus) // 2
     assert any(len(d._pieces()) > 1 for d in corpus)
     assert any(d.free_loops and d.crossings for d in corpus)
+
+
+def _rebuilt(d: PDDiagram) -> PDDiagram:
+    """The same fields through the checked public constructor."""
+    return PDDiagram(d.crossings, d.free_loops)
+
+
+def test_derived_diagrams_pass_the_checked_constructor():
+    # Closures, switches, smoothings, bigon cancellations and pieces are
+    # built without validation; each must be one the checks accept.
+    rng = random.Random(4041)
+    derived = split = multi = cancelled = 0
+    for _ in range(240):
+        n = rng.randrange(2, 6)
+        gens = rng.sample(range(1, n), rng.randrange(1, n))
+        letters = tuple(
+            rng.choice(gens) * rng.choice((1, -1)) for _ in range(rng.randrange(0, 11))
+        )
+        d = closure_to_diagram(BraidWord(n, letters))
+        family = [d]
+        for k in range(len(d.crossings)):
+            family += [d.switch_crossing(k), d.smooth_crossing(k)]
+        for e in list(family):
+            reduced = _cancel_bigons(e)
+            cancelled += len(reduced.crossings) < len(e.crossings)
+            family += [reduced, *reduced._pieces(), *e._pieces()]
+        for e in family:
+            assert _rebuilt(e) == e
+            derived += 1
+        split += len(d._pieces()) + d.free_loops > 1
+        multi += d.components() > 1
+    assert derived > 2000
+    assert split and multi and cancelled
 
 
 def test_pd_text_round_trip():
