@@ -92,32 +92,7 @@ def cmd_invariant(args) -> int:
         "memo": str(budget.memo_enabled).lower(),
     }
     name = args.invariant
-    if name == "homfly":
-        poly, stats = homfly_with_stats(diagram, budget)
-        value = poly.to_text()
-        meta["nodes"] = str(stats.nodes)
-    elif name == "jones":
-        poly, stats = homfly_with_stats(diagram, budget)
-        value = specialize_jones(poly).to_text("s")
-        meta["nodes"] = str(stats.nodes)
-    elif name == "jones-at":
-        if args.t is None:
-            raise ParseError("jones-at needs --t")
-        t = _parse_complex(args.t)
-        if t == 0:
-            raise ValueError("t must be nonzero")
-        poly, stats = homfly_with_stats(diagram, budget)
-        value = format_complex(specialize_jones(poly).evaluate(cmath.sqrt(t)))
-        meta["nodes"] = str(stats.nodes)
-        meta["t"] = args.t
-    elif name == "coeff":
-        if args.k is None:
-            raise ParseError("coeff needs --k")
-        poly, stats = homfly_with_stats(diagram, budget)
-        value = poly.coeff_z(args.k).to_text("a")
-        meta["nodes"] = str(stats.nodes)
-        meta["k"] = str(args.k)
-    elif name == "burau":
+    if name == "burau":
         if word is None:
             raise ParseError("burau needs a braid input")
         if args.t is not None:
@@ -130,7 +105,27 @@ def cmd_invariant(args) -> int:
         else:
             value = burau_symbolic(word).to_text("t")
     else:
-        raise ParseError(f"unknown invariant {name!r}")
+        if name == "jones-at":
+            if args.t is None:
+                raise ParseError("jones-at needs --t")
+            t = _parse_complex(args.t)
+            if t == 0:
+                raise ValueError("t must be nonzero")
+            meta["t"] = args.t
+        elif name == "coeff":
+            if args.k is None:
+                raise ParseError("coeff needs --k")
+            meta["k"] = str(args.k)
+        poly, stats = homfly_with_stats(diagram, budget)
+        meta["nodes"] = str(stats.nodes)
+        if name == "homfly":
+            value = poly.to_text()
+        elif name == "jones":
+            value = specialize_jones(poly).to_text("s")
+        elif name == "jones-at":
+            value = format_complex(specialize_jones(poly).evaluate(cmath.sqrt(t)))
+        else:
+            value = poly.coeff_z(args.k).to_text("a")
     report = InvariantReport(
         input_kind=kind,
         input_text=text,
@@ -245,6 +240,8 @@ def cmd_table(args) -> int:
         )
     if n < 2:
         raise ParseError("table needs at least 2 strands")
+    if maxlen < 0:
+        raise ParseError("table maxlen cannot be negative")
     count = _table_word_count(n, maxlen)
     if count > _TABLE_MAX_WORDS:
         raise BudgetExceededError(
@@ -288,6 +285,8 @@ def cmd_table(args) -> int:
 
 def cmd_bench(args) -> int:
     budget = _default_budget(args)
+    if args.max_crossings < 0:
+        raise ParseError("bench max-crossings cannot be negative")
     print("bench torus closures: memoized vs plain skein recursion")
     rows = 0
     for c in range(2, args.max_crossings + 1):

@@ -131,30 +131,8 @@ class PDDiagram:
             joins = [(a, d), (b, cc)]
         else:
             joins = [(a, b), (d, cc)]
-        rest = [x for i, x in enumerate(self.crossings) if i != index]
-        loops = self.free_loops
-
-        def rename(old: int, new: int):
-            nonlocal rest
-            rest = [
-                Crossing(tuple(new if arc == old else arc for arc in x.arcs), x.sign)
-                for x in rest
-            ]
-
-        (u1, v1), (u2, v2) = joins
-        if u1 == v1:
-            loops += 1
-        else:
-            rename(v1, u1)
-            if u2 == v1:
-                u2 = u1
-            if v2 == v1:
-                v2 = u1
-        if u2 == v2:
-            loops += 1
-        else:
-            rename(v2, u2)
-        return PDDiagram._derived(tuple(rest), loops)
+        rest = self.crossings[:index] + self.crossings[index + 1 :]
+        return _join_arcs(rest, joins, self.free_loops)
 
     def relabel(self, mapping: dict[int, int]) -> "PDDiagram":
         return PDDiagram(
@@ -250,6 +228,31 @@ class PDDiagram:
             return cls(tuple(crossings), loops)
         except ValueError as exc:
             raise ParseError(str(exc)) from None
+
+
+def _join_arcs(crossings, joins, free_loops: int) -> PDDiagram:
+    """Glue each (in-arc, out-arc) pair of ``joins`` into one arc.
+
+    Pairs are taken in order, each endpoint read through the renames
+    made so far. A pair that is already one arc closes a free loop;
+    otherwise the out-arc takes the in-arc's label, so every label stays
+    the parent's. The kept crossings are rebuilt once.
+    """
+    rename: dict[int, int] = {}
+    for u, v in joins:
+        u, v = rename.get(u, u), rename.get(v, v)
+        if u == v:
+            free_loops += 1
+            continue
+        # An arc already renamed to v follows v to u, so one lookup suffices.
+        for old, new in rename.items():
+            if new == v:
+                rename[old] = u
+        rename[v] = u
+    kept = tuple(
+        Crossing(tuple(rename.get(a, a) for a in c.arcs), c.sign) for c in crossings
+    )
+    return PDDiagram._derived(kept, free_loops)
 
 
 def _least_code(d: PDDiagram) -> list[int]:

@@ -16,49 +16,72 @@ from __future__ import annotations
 from .errors import ParseError
 
 
-class LaurentPoly1:
-    """One-variable Laurent polynomial, stored as {exponent: coefficient}."""
+class _Laurent:
+    """Ring operations shared by both polynomial types.
+
+    A subclass fixes the shape of the keys of ``terms`` (one exponent, or
+    an (a, z) exponent pair), names the key of the constant term in
+    ``_UNIT`` and supplies its own product, monomials and text form.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {e: c for e, c in dict(terms or {}).items() if c != 0}
+        self.terms = {k: c for k, c in dict(terms or {}).items() if c != 0}
 
     @classmethod
-    def zero(cls) -> "LaurentPoly1":
+    def zero(cls):
         return cls()
 
     @classmethod
-    def one(cls) -> "LaurentPoly1":
-        return cls({0: 1})
-
-    @classmethod
-    def monomial(cls, coeff: int, exp: int = 0) -> "LaurentPoly1":
-        return cls({exp: coeff})
+    def one(cls):
+        return cls({cls._UNIT: 1})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def is_one(self) -> bool:
-        return self.terms == {0: 1}
+        return self.terms == {self._UNIT: 1}
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentPoly1) and self.terms == other.terms
+        return isinstance(other, type(self)) and self.terms == other.terms
 
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
 
-    def __neg__(self) -> "LaurentPoly1":
-        return LaurentPoly1({e: -c for e, c in self.terms.items()})
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.terms.items()})
 
-    def __add__(self, other: "LaurentPoly1") -> "LaurentPoly1":
+    def __add__(self, other):
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly1(out)
+        for k, c in other.terms.items():
+            out[k] = out.get(k, 0) + c
+        return type(self)(out)
 
-    def __sub__(self, other: "LaurentPoly1") -> "LaurentPoly1":
+    def __sub__(self, other):
         return self + (-other)
+
+    def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError("negative powers are only defined for monomials")
+        out = self.one()
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.to_text()})"
+
+
+class LaurentPoly1(_Laurent):
+    """One-variable Laurent polynomial, stored as {exponent: coefficient}."""
+
+    __slots__ = ()
+    _UNIT = 0
+
+    @classmethod
+    def monomial(cls, coeff: int, exp: int = 0) -> "LaurentPoly1":
+        return cls({exp: coeff})
 
     def __mul__(self, other: "LaurentPoly1") -> "LaurentPoly1":
         out: dict[int, int] = {}
@@ -67,14 +90,6 @@ class LaurentPoly1:
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly1(out)
-
-    def __pow__(self, k: int) -> "LaurentPoly1":
-        if k < 0:
-            raise ValueError("negative powers are only defined for monomials")
-        out = LaurentPoly1.one()
-        for _ in range(k):
-            out = out * self
-        return out
 
     def shift(self, k: int) -> "LaurentPoly1":
         """Multiply by the variable to the k-th power."""
@@ -103,9 +118,6 @@ class LaurentPoly1:
         ]
         return _render_terms(items)
 
-    def __repr__(self) -> str:
-        return f"LaurentPoly1({self.to_text()})"
-
     @classmethod
     def parse(cls, text: str) -> "LaurentPoly1":
         """Parse the canonical text form; any single letter may be the variable."""
@@ -123,49 +135,15 @@ class LaurentPoly1:
         return cls(terms)
 
 
-class LaurentPoly2:
+class LaurentPoly2(_Laurent):
     """Two-variable Laurent polynomial in (a, z), stored as {(a_exp, z_exp): coeff}."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {k: c for k, c in dict(terms or {}).items() if c != 0}
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly2":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly2":
-        return cls({(0, 0): 1})
+    __slots__ = ()
+    _UNIT = (0, 0)
 
     @classmethod
     def monomial(cls, coeff: int, a_exp: int = 0, z_exp: int = 0) -> "LaurentPoly2":
         return cls({(a_exp, z_exp): coeff})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def is_one(self) -> bool:
-        return self.terms == {(0, 0): 1}
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentPoly2) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __neg__(self) -> "LaurentPoly2":
-        return LaurentPoly2({k: -c for k, c in self.terms.items()})
-
-    def __add__(self, other: "LaurentPoly2") -> "LaurentPoly2":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return LaurentPoly2(out)
-
-    def __sub__(self, other: "LaurentPoly2") -> "LaurentPoly2":
-        return self + (-other)
 
     def __mul__(self, other: "LaurentPoly2") -> "LaurentPoly2":
         out: dict[tuple[int, int], int] = {}
@@ -174,14 +152,6 @@ class LaurentPoly2:
                 k = (a1 + a2, z1 + z2)
                 out[k] = out.get(k, 0) + c1 * c2
         return LaurentPoly2(out)
-
-    def __pow__(self, k: int) -> "LaurentPoly2":
-        if k < 0:
-            raise ValueError("negative powers are only defined for monomials")
-        out = LaurentPoly2.one()
-        for _ in range(k):
-            out = out * self
-        return out
 
     def evaluate(self, a: complex, z: complex) -> complex:
         if a == 0 or z == 0:
@@ -203,9 +173,6 @@ class LaurentPoly2:
             body = "*".join(f for f in (fa, fz) if f)
             items.append((c, body))
         return _render_terms(items)
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly2({self.to_text()})"
 
     @classmethod
     def parse(cls, text: str) -> "LaurentPoly2":
@@ -361,5 +328,4 @@ def specialize_jones(p: LaurentPoly2) -> LaurentPoly1:
     return exact_div(num, _S_MINUS_SINV ** (-shift))
 
 
-def coeff_z(p: LaurentPoly2, k: int) -> LaurentPoly1:
-    return p.coeff_z(k)
+coeff_z = LaurentPoly2.coeff_z

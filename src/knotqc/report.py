@@ -62,12 +62,12 @@ class InvariantReport:
                 time_ms=float(fields.get("time_ms", "0.0")),
                 metadata=metadata,
             )
+            if "estimate_re" in fields:
+                report.estimate = complex(
+                    float(fields["estimate_re"]), float(fields["estimate_im"])
+                )
         except (KeyError, ValueError) as exc:
             raise ParseError(f"incomplete report: {exc}") from None
-        if "estimate_re" in fields:
-            report.estimate = complex(
-                float(fields["estimate_re"]), float(fields["estimate_im"])
-            )
         return report
 
     @classmethod

@@ -25,7 +25,7 @@ import cmath
 from dataclasses import dataclass
 
 from .braid import BraidWord
-from .diagram import Crossing, PDDiagram, closure_to_diagram
+from .diagram import PDDiagram, _join_arcs, closure_to_diagram
 from .errors import BudgetExceededError
 from .laurent import LaurentPoly1, LaurentPoly2, specialize_jones
 
@@ -130,28 +130,7 @@ def _cancel_bigons(d: PDDiagram) -> PDDiagram:
         out_b = d.crossings[cv_head].arcs[2]
         dead = {cu_tail, cu_head}
         rest = [c for ci, c in enumerate(d.crossings) if ci not in dead]
-        loops = d.free_loops
-
-        def rename(old: int, new: int):
-            nonlocal rest
-            rest = [
-                Crossing(tuple(new if a == old else a for a in c.arcs), c.sign)
-                for c in rest
-            ]
-
-        if in_a == out_a:
-            loops += 1
-        else:
-            rename(out_a, in_a)
-            if in_b == out_a:
-                in_b = in_a
-            if out_b == out_a:
-                out_b = in_a
-        if in_b == out_b:
-            loops += 1
-        else:
-            rename(out_b, in_b)
-        d = PDDiagram._derived(tuple(rest), loops)
+        d = _join_arcs(rest, [(in_a, out_a), (in_b, out_b)], d.free_loops)
 
 
 def _first_violation(d: PDDiagram) -> int | None:

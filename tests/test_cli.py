@@ -4,6 +4,7 @@ import time
 import pytest
 
 from knotqc.cli import _reduced_words, _table_word_count, main
+from knotqc.errors import ParseError
 from knotqc.report import InvariantReport
 
 from oracle_table import oracle_table
@@ -310,3 +311,44 @@ def test_report_round_trip(capsys):
         s = int(meta[f"sum_{part}"])
         assert abs(s) <= m and (s - m) % 2 == 0
         assert float(meta[f"stderr_{part}"]) == math.sqrt((1 - (s / m) ** 2) / m)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "input=braid:1\ninvariant=jones-estimate\nestimate_re=0.5",
+        "input=braid:1\ninvariant=jones-estimate\nestimate_re=half\nestimate_im=0.0",
+    ],
+    ids=["missing_im", "non_numeric"],
+)
+def test_report_with_broken_estimate_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="incomplete report"):
+        InvariantReport.from_text(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--strands", "3", "--maxlen", "-1"],
+        ["bench", "--max-crossings", "-3"],
+    ],
+)
+def test_negative_counts_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == "" and "negative" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--invariant", "jones-at"],
+        ["--invariant", "jones-at", "--t", "0"],
+        ["--invariant", "coeff"],
+    ],
+)
+def test_invariant_argument_errors_precede_skein_work(capsys, argv):
+    # A one-node budget would refuse the skein work with exit 2.
+    code, out, _ = run(capsys, "invariant", "--braid", "1 1 1", "--budget", "1", *argv)
+    assert code == 1
+    assert out == ""

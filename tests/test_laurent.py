@@ -187,3 +187,35 @@ def test_parse_errors():
         LaurentPoly2.parse("q^2")
     with pytest.raises(ParseError):
         LaurentPoly2.parse("2*")
+
+
+def test_views_stay_distinct_types():
+    assert LaurentPoly1.zero() != LaurentPoly2.zero()
+    assert LaurentPoly1.one() != LaurentPoly2.one()
+    assert LaurentPoly1.one().is_one() and LaurentPoly2.one().is_one()
+    assert not LaurentPoly1({1: 1}).is_one()
+    assert LaurentPoly2.one() ** 3 == LaurentPoly2.one()
+    assert -(-S_MINUS_SINV) == S_MINUS_SINV
+    assert hash(LaurentPoly1({2: 3})) == hash(LaurentPoly1({2: 3}))
+
+
+def test_polynomials_have_no_instance_dict():
+    # The skein memo holds thousands of values; each stays a slotted object.
+    for p in (LaurentPoly1.one(), LaurentPoly2.one(), S_MINUS_SINV * S_MINUS_SINV):
+        assert not hasattr(p, "__dict__")
+
+
+def test_repr_strings():
+    assert repr(LaurentPoly1({8: -1, 6: 1, 2: 1})) == "LaurentPoly1(-s^8 + s^6 + s^2)"
+    assert repr(LaurentPoly1.zero()) == "LaurentPoly1(0)"
+    trefoil = LaurentPoly2({(-4, 0): -1, (-2, 0): 2, (-2, 2): 1})
+    assert repr(trefoil) == "LaurentPoly2(-a^-4 + 2*a^-2 + a^-2*z^2)"
+    assert repr(LaurentPoly2.zero()) == "LaurentPoly2(0)"
+
+
+def test_coeff_z_function_matches_method():
+    rng = random.Random(13)
+    for _ in range(20):
+        p = random_poly2(rng)
+        for k in range(-3, 6):
+            assert coeff_z(p, k) == p.coeff_z(k)
