@@ -397,11 +397,13 @@ def jones_estimate(
     """
     if not 0 < epsilon < 1 or not 0 < delta < 1:
         raise ValueError("epsilon and delta must lie in (0, 1)")
-    m = sample_count(epsilon, delta)
-    if m > MAX_SAMPLES_PER_PART:
+    # sample_count > MAX without its division, which over- or underflows.
+    if SAMPLE_CONSTANT * math.log(2 / delta) > MAX_SAMPLES_PER_PART * epsilon**2:
         raise BudgetExceededError(
-            f"estimate needs {m} samples per part, budget allows {MAX_SAMPLES_PER_PART}"
+            f"estimate at epsilon={epsilon}, delta={delta} needs more samples "
+            f"per part than the budget allows ({MAX_SAMPLES_PER_PART})"
         )
+    m = sample_count(epsilon, delta)
     n = b.strands
     sectors = []
     for total, dim in _dense_sectors(n):

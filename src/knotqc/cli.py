@@ -52,9 +52,12 @@ def _resolve(value: str | None) -> str | None:
 
 def _parse_complex(text: str) -> complex:
     try:
-        return complex(text.strip().replace("i", "j").replace(" ", ""))
+        z = complex(text.strip().replace("i", "j").replace(" ", ""))
     except ValueError:
         raise ParseError(f"bad complex number {text!r}") from None
+    if not cmath.isfinite(z):
+        raise ParseError(f"complex number {text!r} is not finite")
+    return z
 
 
 def _default_budget(args) -> SkeinBudget:
@@ -68,7 +71,7 @@ def _default_budget(args) -> SkeinBudget:
 
 
 def _input_diagram(args):
-    """(kind, text, diagram) from --braid/--gauss flags."""
+    """(kind, text, diagram, word) from --braid/--gauss flags; word is None for Gauss input."""
     braid = _resolve(args.braid)
     gauss = _resolve(getattr(args, "gauss", None))
     if (braid is None) == (gauss is None):

@@ -84,31 +84,39 @@ class PDDiagram:
         object.__setattr__(d, "free_loops", free_loops)
         return d
 
-    def _inflow(self) -> dict[int, tuple[int, int]]:
-        table = {}
-        for ci, c in enumerate(self.crossings):
-            for slot in c.in_slots():
-                table[c.arcs[slot]] = (ci, slot)
-        return table
+    def _passes(self) -> tuple[list[int], list[int]]:
+        """The pass table: the one traversal every walk of the diagram reads.
+
+        Pass 2*ci enters crossing ci on the under-strand, pass 2*ci + 1 on
+        the over-strand. arc[p] is the arc pass p enters on and succ[p]
+        the next pass along its strand.
+        """
+        arc: list[int] = []
+        out: list[int] = []
+        for c in self.crossings:
+            a, b, cc, d = c.arcs
+            if c.sign > 0:
+                arc += (a, b)
+                out += (cc, d)
+            else:
+                arc += (a, d)
+                out += (cc, b)
+        enter = {a: p for p, a in enumerate(arc)}
+        return arc, [enter[a] for a in out]
 
     def arcs(self) -> list[int]:
         return sorted({a for c in self.crossings for a in c.arcs})
 
     def components(self) -> int:
         """Closed strand cycles, free loops included."""
-        inflow = self._inflow()
-        seen: set[int] = set()
+        succ = self._passes()[1]
+        seen = bytearray(len(succ))
         count = self.free_loops
-        for arc in self.arcs():
-            if arc in seen:
-                continue
-            count += 1
-            a = arc
-            while a not in seen:
-                seen.add(a)
-                ci, slot = inflow[a]
-                c = self.crossings[ci]
-                a = c.arcs[c.exit_slot(slot)]
+        for p in range(len(succ)):
+            count += not seen[p]
+            while not seen[p]:
+                seen[p] = 1
+                p = succ[p]
         return count
 
     def switch_crossing(self, index: int) -> "PDDiagram":
@@ -179,14 +187,8 @@ class PDDiagram:
                 x = parent[x]
             return x
 
-        by_arc: dict[int, int] = {}
-        for ci, c in enumerate(self.crossings):
-            for arc in c.arcs:
-                if arc in by_arc:
-                    ra, rb = find(by_arc[arc]), find(ci)
-                    parent[ra] = rb
-                else:
-                    by_arc[arc] = ci
+        for p, q in enumerate(self._passes()[1]):
+            parent[find(p >> 1)] = find(q >> 1)
         groups: dict[int, list[Crossing]] = {}
         for ci, c in enumerate(self.crossings):
             groups.setdefault(find(ci), []).append(c)
@@ -255,22 +257,60 @@ def _join_arcs(crossings, joins, free_loops: int) -> PDDiagram:
     return PDDiagram._derived(kept, free_loops)
 
 
+def _cancel_bigons(d: PDDiagram) -> PDDiagram:
+    """Remove cancelling bigons until none remain.
+
+    A bigon is a pair of crossings x != y joined by one arc that is the
+    over-strand at both ends and one that is the under-strand at both
+    ends, so the two strands pull apart exactly (the link is unchanged).
+    Over passes are scanned in crossing order, and both strands of the
+    first bigon found are glued past the pair.
+    """
+    while True:
+        arc, succ = d._passes()
+        for p in range(1, len(succ), 2):
+            x, y = p >> 1, succ[p] >> 1
+            if not succ[p] & 1 or x == y:
+                continue
+            if succ[2 * x] == 2 * y:
+                q = 2 * x
+            elif succ[2 * y] == 2 * x:
+                q = 2 * y
+            else:
+                continue
+            rest = [c for ci, c in enumerate(d.crossings) if ci != x and ci != y]
+            joins = [(arc[s], arc[succ[succ[s]]]) for s in (p, q)]
+            d = _join_arcs(rest, joins, d.free_loops)
+            break
+        else:
+            return d
+
+
+def _first_violation(d: PDDiagram) -> int | None:
+    """Index of the first crossing reached on its under-strand, if any.
+
+    Each component is walked from its least arc, components in order of
+    that arc.
+    """
+    arc, succ = d._passes()
+    seen = bytearray(len(succ))
+    for p in sorted(range(len(arc)), key=arc.__getitem__):
+        while not seen[p]:
+            if not p & 1 and not seen[p + 1]:
+                return p >> 1
+            seen[p] = 1
+            p = succ[p]
+    return None
+
+
 def _least_code(d: PDDiagram) -> list[int]:
     """The least traversal code of a connected diagram (see canonical_key)."""
     n = len(d.crossings)
-    inflow = d._inflow()
-    # Pass 2*ci enters crossing ci on the under-strand, 2*ci + 1 on the
-    # over-strand; low[p] is the part of its symbol that does not depend
-    # on numbering. Reversal keeps each pass's strand and sign and walks
-    # the passes backwards.
-    succ = [0] * (2 * n)
-    low = [0] * (2 * n)
-    for ci, c in enumerate(d.crossings):
-        for slot in c.in_slots():
-            p = 2 * ci + (slot > 0)
-            nci, nslot = inflow[c.arcs[c.exit_slot(slot)]]
-            succ[p] = 2 * nci + (nslot > 0)
-            low[p] = 2 * (slot > 0) + (c.sign > 0)
+    # low[p] is the part of pass p's symbol that does not depend on
+    # numbering. Reversal keeps each pass's strand and sign and walks the
+    # passes backwards.
+    succ = d._passes()[1]
+    low = [2 * (p & 1) + (d.crossings[p >> 1].sign > 0) for p in range(2 * n)]
     pred = [0] * (2 * n)
     for p, q in enumerate(succ):
         pred[q] = p
@@ -518,19 +558,16 @@ def gauss_from_diagram(d: PDDiagram) -> GaussCode:
         raise ValueError("Gauss codes require a single-component diagram")
     if d.free_loops or d.components() != 1:
         raise ValueError("Gauss codes require a single-component diagram")
-    inflow = d._inflow()
-    start_arc = min(inflow)
+    arc, succ = d._passes()
+    start = p = arc.index(min(arc))
     labels: dict[int, int] = {}
     entries = []
-    arc = start_arc
     while True:
-        ci, slot = inflow[arc]
-        c = d.crossings[ci]
-        if ci not in labels:
-            labels[ci] = len(labels) + 1
-        entries.append((UNDER if slot == 0 else OVER, labels[ci], c.sign))
-        arc = c.arcs[c.exit_slot(slot)]
-        if arc == start_arc:
+        ci = p >> 1
+        labels.setdefault(ci, len(labels) + 1)
+        entries.append((OVER if p & 1 else UNDER, labels[ci], d.crossings[ci].sign))
+        p = succ[p]
+        if p == start:
             break
     return GaussCode(tuple(entries))
 

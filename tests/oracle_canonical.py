@@ -17,7 +17,7 @@ def oracle_key(d: PDDiagram) -> str:
     for piece in pieces:
         best = None
         for variant in (piece, piece.reversed()):
-            inflow = variant._inflow()
+            inflow = _inflow(variant)
             for ci in range(len(variant.crossings)):
                 for slot in variant.crossings[ci].in_slots():
                     code = _encode_traversal(variant, inflow, (ci, slot))
@@ -25,6 +25,15 @@ def oracle_key(d: PDDiagram) -> str:
                         best = code
         keys.append(best or "")
     return f"L{d.free_loops}|" + "||".join(sorted(keys))
+
+
+def _inflow(self) -> dict[int, tuple[int, int]]:
+    # Entry arc -> (crossing, slot), read from the crossing slots.
+    table = {}
+    for ci, c in enumerate(self.crossings):
+        for slot in c.in_slots():
+            table[c.arcs[slot]] = (ci, slot)
+    return table
 
 
 def _encode_traversal(d: PDDiagram, inflow, start: tuple[int, int]) -> str:

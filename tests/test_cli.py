@@ -182,10 +182,20 @@ def test_estimate_invalid_epsilon(capsys):
     assert code == 1
 
 
-def test_estimate_sample_budget_refused_fast(capsys):
+@pytest.mark.parametrize(
+    "braid, epsilon, delta",
+    [
+        ("1", "1e-6", "0.5"),
+        # epsilon**2 underflows to 0, and the sample count overflows a float.
+        ("1 1 1", "1e-200", "0.1"),
+        ("1 1 1", "1e-160", "1e-300"),
+    ],
+    ids=["large", "underflow", "overflow"],
+)
+def test_estimate_sample_budget_refused_fast(capsys, braid, epsilon, delta):
     t0 = time.perf_counter()
     code, _, err = run(
-        capsys, "estimate", "--braid", "1", "--epsilon", "1e-6", "--delta", "0.5"
+        capsys, "estimate", "--braid", braid, "--epsilon", epsilon, "--delta", delta
     )
     assert code == 2
     assert "budget" in err
@@ -352,3 +362,13 @@ def test_invariant_argument_errors_precede_skein_work(capsys, argv):
     code, out, _ = run(capsys, "invariant", "--braid", "1 1 1", "--budget", "1", *argv)
     assert code == 1
     assert out == ""
+
+
+@pytest.mark.parametrize("invariant", ["jones-at", "burau"])
+@pytest.mark.parametrize("t", ["nan", "1e400+0i"])
+def test_non_finite_t_refused(capsys, invariant, t):
+    code, out, err = run(
+        capsys, "invariant", "--braid", "1 1 1", "--invariant", invariant, "--t", t
+    )
+    assert code == 1
+    assert out == "" and "not finite" in err

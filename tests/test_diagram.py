@@ -7,6 +7,7 @@ from knotqc.diagram import (
     Crossing,
     GaussCode,
     PDDiagram,
+    _first_violation,
     closure_to_diagram,
     diagram_from_gauss,
     euler_characteristic,
@@ -19,6 +20,7 @@ from knotqc.diagram import (
 from knotqc.errors import BudgetExceededError, ParseError
 from knotqc.skein import _cancel_bigons
 
+import oracle_traversal
 from oracle_canonical import oracle_key
 
 TREFOIL_CODE = "O1+U2+O3+U1+O2+U3+"
@@ -198,6 +200,43 @@ def test_derived_diagrams_pass_the_checked_constructor():
         multi += d.components() > 1
     assert derived > 2000
     assert split and multi and cancelled
+
+
+def test_pass_table_traversals_match_slot_oracle():
+    # The family of the test above, plus relabeled and reordered copies
+    # (base points follow arc labels): every walk over the pass table
+    # must agree with the slot-based walks it replaced. Bigon
+    # cancellation may pick an isomorphic pair in another order, so its
+    # result is compared up to the canonical key.
+    rng = random.Random(4041)
+    checked = one_component = cancelled = 0
+    for _ in range(240):
+        n = rng.randrange(2, 6)
+        gens = rng.sample(range(1, n), rng.randrange(1, n))
+        letters = tuple(
+            rng.choice(gens) * rng.choice((1, -1)) for _ in range(rng.randrange(0, 11))
+        )
+        d = closure_to_diagram(BraidWord(n, letters))
+        family = [d]
+        for k in range(len(d.crossings)):
+            family += [d.switch_crossing(k), d.smooth_crossing(k)]
+        for e in list(family):
+            family += [_cancel_bigons(e), *e._pieces()]
+        family += [_relabel_and_shuffle(e, rng) for e in family]
+        for e in family:
+            assert _first_violation(e) == oracle_traversal._first_violation(e)
+            components = oracle_traversal.components(e)
+            assert e.components() == components
+            if components == 1:
+                assert gauss_from_diagram(e) == oracle_traversal.gauss_from_diagram(e)
+                one_component += 1
+            new, old = _cancel_bigons(e), oracle_traversal._cancel_bigons(e)
+            assert len(new.crossings) == len(old.crossings)
+            assert new.free_loops == old.free_loops
+            assert new == old or new.canonical_key() == old.canonical_key()
+            cancelled += len(new.crossings) < len(e.crossings)
+            checked += 1
+    assert checked > 15000 and one_component > 4000 and cancelled > 8000
 
 
 def test_pd_text_round_trip():
