@@ -96,12 +96,14 @@ def _dense_sectors(n: int) -> list[tuple[int, int]]:
     vacuum, tau = 1, 0
     for _ in range(n):
         vacuum, tau = tau, vacuum + tau
-    nbytes = max(vacuum, tau) ** 2 * np.dtype(complex).itemsize
-    if nbytes > MAX_UNITARY_BYTES:
-        raise BudgetExceededError(
-            f"a dense unitary on {n} anyons needs {nbytes} bytes, "
-            f"budget allows {MAX_UNITARY_BYTES}"
-        )
+        # Stop at the first count past the budget: the dimensions grow
+        # exponentially, and so would the loop's ints and the message.
+        nbytes = max(vacuum, tau) ** 2 * np.dtype(complex).itemsize
+        if nbytes > MAX_UNITARY_BYTES:
+            raise BudgetExceededError(
+                f"a dense unitary on {n} anyons needs at least {nbytes} bytes, "
+                f"budget allows {MAX_UNITARY_BYTES}"
+            )
     return [(total, dim) for total, dim in ((VACUUM, vacuum), (TAU, tau)) if dim]
 
 

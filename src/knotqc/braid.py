@@ -39,17 +39,19 @@ class Permutation:
         return all(v == j + 1 for j, v in enumerate(self.images))
 
     def cycle_count(self) -> int:
-        seen = [False] * len(self.images)
-        count = 0
-        for start in range(len(self.images)):
-            if seen[start]:
-                continue
-            count += 1
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = self.images[j] - 1
-        return count
+        return _cycle_count([v - 1 for v in self.images])
+
+
+def _cycle_count(succ: list[int]) -> int:
+    """Cycles of the bijection j -> succ[j] of {0..len(succ)-1}. Marks
+    visited entries with -1, so the caller's list is consumed."""
+    count = 0
+    for start in range(len(succ)):
+        count += succ[start] >= 0
+        j = start
+        while succ[j] >= 0:
+            succ[j], j = -1, succ[j]
+    return count
 
 
 @dataclass(frozen=True)
@@ -85,22 +87,26 @@ class BraidWord:
                 out.append(e)
         return BraidWord(self.strands, tuple(out))
 
-    def permutation(self) -> Permutation:
-        # at[p] = strand currently at position p (0-based).
-        at = list(range(1, self.strands + 1))
+    def _strand_at(self) -> list[int]:
+        """at[p] is the strand that ends at position p (both 0-based)."""
+        at = list(range(self.strands))
         for e in self.letters:
             i = abs(e) - 1
             at[i], at[i + 1] = at[i + 1], at[i]
+        return at
+
+    def permutation(self) -> Permutation:
         images = [0] * self.strands
-        for pos, strand in enumerate(at):
-            images[strand - 1] = pos + 1
+        for pos, strand in enumerate(self._strand_at()):
+            images[strand] = pos + 1
         return Permutation(tuple(images))
 
     def is_pure(self) -> bool:
         return self.permutation().is_identity()
 
     def closure_components(self) -> int:
-        return self.permutation().cycle_count()
+        # at is the inverse of permutation(), and has the same cycles.
+        return _cycle_count(self._strand_at())
 
     def writhe(self) -> int:
         return sum(1 if e > 0 else -1 for e in self.letters)

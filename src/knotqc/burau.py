@@ -2,9 +2,10 @@
 
 Each generator maps to the identity away from one 2x2 block [[1-t, t],
 [1, 0]]; inverse letters use the exact closed-form inverse block
-[[0, 1], [t^-1, 1 - t^-1]]. The matrices are not literally unitary for
-generic |t| = 1 (they preserve a Hermitian form instead), so tests
-assert braid relations, the homomorphism property, and determinants.
+[[0, 1], [t^-1, 1 - t^-1]]. Symbolic and numeric images share one
+kernel. The matrices are not literally unitary for generic |t| = 1 (they
+preserve a Hermitian form instead), so tests assert braid relations, the
+homomorphism property, and determinants.
 """
 
 from __future__ import annotations
@@ -12,19 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 from .braid import BraidWord
+from .errors import BudgetExceededError
 from .laurent import LaurentPoly1
 
+MAX_BURAU_STRANDS = 256  # the matrix and its text have strands**2 entries
 _ZERO = LaurentPoly1.zero()
 _ONE = LaurentPoly1.one()
-# [[1-t, t], [1, 0]] and its inverse [[0, 1], [t^-1, 1-t^-1]].
-_BLOCK = (
-    (LaurentPoly1({0: 1, 1: -1}), LaurentPoly1({1: 1})),
-    (_ONE, _ZERO),
-)
-_BLOCK_INV = (
-    (_ZERO, _ONE),
-    (LaurentPoly1({-1: 1}), LaurentPoly1({0: 1, -1: -1})),
-)
 
 
 class PolyMatrix:
@@ -88,44 +82,38 @@ class PolyMatrix:
         return f"PolyMatrix({self.to_text()})"
 
 
-def generator_matrix(n: int, i: int, inverse: bool = False) -> PolyMatrix:
-    """The block image of the i-th generator inside n strands."""
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index {i} out of range for {n} strands")
-    block = _BLOCK_INV if inverse else _BLOCK
-    rows = [[_ONE if r == c else _ZERO for c in range(n)] for r in range(n)]
-    for r in range(2):
-        for c in range(2):
-            rows[i - 1 + r][i - 1 + c] = block[r][c]
-    return PolyMatrix(rows)
+def _burau(b: BraidWord, zero, one, t, t_inv) -> np.ndarray:
+    """The identity times each letter's block, over the ring of the given
+    constants. Letter +-i rewrites only columns x = i and y = i+1: +i to
+    ((1-t)x + y, tx), and -i to (t^-1 y, x + (1-t^-1)y)."""
+    if b.strands > MAX_BURAU_STRANDS:
+        raise BudgetExceededError(
+            f"Burau matrix on {b.strands} strands, budget allows {MAX_BURAU_STRANDS}"
+        )
+    m = np.full((b.strands, b.strands), zero)
+    np.fill_diagonal(m, one)
+    a, c = one - t, one - t_inv
+    for e in b.letters:
+        i = abs(e) - 1
+        x, y = m[:, i], m[:, i + 1]
+        if e > 0:
+            m[:, i], m[:, i + 1] = x * a + y, x * t
+        else:
+            m[:, i], m[:, i + 1] = y * t_inv, x + y * c
+    return m
 
 
 def burau_symbolic(b: BraidWord) -> PolyMatrix:
     """Ordered product of generator blocks over the whole word."""
-    out = PolyMatrix.identity(b.strands)
-    for e in b.letters:
-        out = out @ generator_matrix(b.strands, abs(e), inverse=e < 0)
-    return out
-
-
-def _numeric_block(t: complex, inverse: bool) -> np.ndarray:
-    if inverse:
-        return np.array([[0, 1], [1 / t, 1 - 1 / t]], dtype=complex)
-    return np.array([[1 - t, t], [1, 0]], dtype=complex)
+    m = _burau(b, _ZERO, _ONE, LaurentPoly1({1: 1}), LaurentPoly1({-1: 1}))
+    return PolyMatrix(m.tolist())
 
 
 def burau_numeric(b: BraidWord, t: complex) -> np.ndarray:
-    """Entrywise evaluation, computed directly by numeric block products."""
+    """Entrywise evaluation at t, by the same letter rule over complex numbers."""
     if t == 0:
         raise ValueError("t must be nonzero")
-    n = b.strands
-    out = np.eye(n, dtype=complex)
-    for e in b.letters:
-        g = np.eye(n, dtype=complex)
-        i = abs(e) - 1
-        g[i : i + 2, i : i + 2] = _numeric_block(t, e < 0)
-        out = out @ g
-    return out
+    return _burau(b, 0j, 1 + 0j, t, 1 / t)
 
 
 def check_braid_relations(n: int, t: complex | None = None, tol: float = 1e-10) -> bool:

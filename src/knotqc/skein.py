@@ -128,9 +128,11 @@ def homfly_with_stats(
 ) -> tuple[LaurentPoly2, SkeinStats]:
     """Like homfly, but also reports node and memo-hit counts."""
     budget = budget or SkeinBudget()
-    if len(d.crossings) > budget.max_crossings:
+    # Free loops count too: each one multiplies a leaf value by DELTA.
+    if len(d.crossings) + d.free_loops > budget.max_crossings:
         raise BudgetExceededError(
-            f"diagram has {len(d.crossings)} crossings, budget allows {budget.max_crossings}"
+            f"diagram has {len(d.crossings)} crossings and {d.free_loops} free loops, "
+            f"budget allows {budget.max_crossings} in all"
         )
     if memo is None and budget.memo_enabled:
         memo = {}

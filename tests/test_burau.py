@@ -11,9 +11,10 @@ from knotqc.burau import (
     burau_numeric,
     burau_symbolic,
     check_braid_relations,
-    generator_matrix,
 )
 from knotqc.laurent import LaurentPoly1
+
+import oracle_burau
 
 
 def test_generator_block_verbatim():
@@ -37,7 +38,7 @@ def test_generator_block_row_sums():
     for n in (2, 4, 6):
         for i in range(1, n):
             for inverse in (False, True):
-                m = generator_matrix(n, i, inverse)
+                m = burau_symbolic(BraidWord(n, (-i if inverse else i,)))
                 for row in m.rows:
                     total = LaurentPoly1.zero()
                     for p in row:
@@ -113,6 +114,26 @@ def test_numeric_matches_symbolic():
             for j in range(3):
                 val = sym.rows[i][j].evaluate(t) if sym.rows[i][j] else 0
                 assert abs(val - num[i, j]) < 1e-9
+
+
+def test_two_column_rule_matches_dense_oracle():
+    rng = random.Random(17)
+    braids = [BraidWord(1), BraidWord(3)]
+    for _ in range(220):
+        n = rng.randrange(1, 7)
+        braids.append(
+            BraidWord(n, ())
+            if n == 1
+            else random_braid(n, rng.randrange(0, 31), rng.randrange(10**9))
+        )
+    assert any(e < 0 for b in braids for e in b.letters)
+    for b in braids:
+        assert burau_symbolic(b) == oracle_burau.burau_symbolic(b)
+        for t in (0.6 + 0.8j, 1.3 - 0.4j, 1):
+            want = oracle_burau.burau_numeric(b, t)
+            got = burau_numeric(b, t)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1, np.abs(want)))
 
 
 def test_numeric_rejects_zero():

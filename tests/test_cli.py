@@ -202,7 +202,7 @@ def test_estimate_sample_budget_refused_fast(capsys, braid, epsilon, delta):
     assert time.perf_counter() - t0 < 1.0
 
 
-@pytest.mark.parametrize("strands", [20, 30])
+@pytest.mark.parametrize("strands", [20, 30, 20000, 300000])
 def test_estimate_dimension_budget_refused_fast(capsys, strands):
     t0 = time.perf_counter()
     code, _, err = run(
@@ -210,6 +210,33 @@ def test_estimate_dimension_budget_refused_fast(capsys, strands):
     )
     assert code == 2
     assert "budget" in err
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("t", [None, "0.6+0.8i"])
+@pytest.mark.parametrize("strands", [257, 100000])
+def test_burau_strand_budget_refused_fast(capsys, strands, t):
+    argv = ["invariant", "--braid", f"n={strands} 1", "--invariant", "burau"]
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv, *(["--t", t] if t else []))
+    assert code == 2
+    assert "budget" in err and out == ""
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("t", [None, "0.6+0.8i"])
+def test_burau_at_strand_bound_answers(capsys, t):
+    argv = ["invariant", "--braid", "n=256 1", "--invariant", "burau"]
+    code, out, _ = run(capsys, *argv, *(["--t", t] if t else []))
+    assert code == 0
+    assert InvariantReport.from_text(out).value.count("[") == 257
+
+
+def test_free_loops_budget_refused_fast(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "invariant", "--braid", "n=1600 1", "--invariant", "jones")
+    assert code == 2
+    assert "budget" in err and "1598 free loops" in err and out == ""
     assert time.perf_counter() - t0 < 1.0
 
 

@@ -217,6 +217,14 @@ def test_budget_errors():
         SkeinBudget(max_crossings=0)
 
 
+def test_free_loops_count_against_crossing_budget():
+    # Three crossings on strands 1-2 plus one free loop per untouched strand.
+    budget = SkeinBudget(max_crossings=5)
+    assert homfly_braid(BraidWord(4, (1, 1, 1)), budget) == TREFOIL * DELTA**2
+    with pytest.raises(BudgetExceededError, match="3 crossings and 3 free loops"):
+        homfly_braid(BraidWord(5, (1, 1, 1)), budget)
+
+
 def test_unmemoized_node_bound_on_torus_words():
     for c in range(2, 15):
         d = closure_to_diagram(BraidWord(2, (1,) * c))
