@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import dataclasses
+import functools
 import math
 import os
 import sys
@@ -70,24 +72,24 @@ def _default_budget(args) -> SkeinBudget:
     return SkeinBudget(max_nodes=nodes)
 
 
-def _input_diagram(args):
-    """(kind, text, diagram, word) from --braid/--gauss flags; word is None for Gauss input."""
+def _input_source(args):
+    """(kind, text, source) from --braid/--gauss flags: a BraidWord, whose
+    closure skein.as_diagram builds once the budget allows, or a diagram."""
     braid = _resolve(args.braid)
     gauss = _resolve(getattr(args, "gauss", None))
     if (braid is None) == (gauss is None):
         raise ParseError("exactly one of --braid or --gauss is required")
     if braid is not None:
-        word = parse_braid(braid)
-        return "braid", braid, closure_to_diagram(word.free_reduce()), word
+        return "braid", braid, parse_braid(braid)
     code = parse_gauss(gauss)
     if code.entries and not realizable(code):
         raise ParseError("Gauss code is not realizable; no diagram to compute on")
-    return "gauss", gauss, diagram_from_gauss(code), None
+    return "gauss", gauss, diagram_from_gauss(code)
 
 
 def cmd_invariant(args) -> int:
     budget = _default_budget(args)
-    kind, text, diagram, word = _input_diagram(args)
+    kind, text, source = _input_source(args)
     t0 = time.perf_counter()
     meta = {
         "budget_max_nodes": str(budget.max_nodes),
@@ -96,17 +98,17 @@ def cmd_invariant(args) -> int:
     }
     name = args.invariant
     if name == "burau":
-        if word is None:
+        if kind != "braid":
             raise ParseError("burau needs a braid input")
         if args.t is not None:
-            m = burau_numeric(word, _parse_complex(args.t))
+            m = burau_numeric(source, _parse_complex(args.t))
             rows = [
                 "[" + ", ".join(format_complex(x) for x in row) + "]" for row in m
             ]
             value = "[" + ", ".join(rows) + "]"
             meta["t"] = args.t
         else:
-            value = burau_symbolic(word).to_text("t")
+            value = burau_symbolic(source).to_text("t")
     else:
         if name == "jones-at":
             if args.t is None:
@@ -119,7 +121,7 @@ def cmd_invariant(args) -> int:
             if args.k is None:
                 raise ParseError("coeff needs --k")
             meta["k"] = str(args.k)
-        poly, stats = homfly_with_stats(diagram, budget)
+        poly, stats = homfly_with_stats(skein.as_diagram(source, budget), budget)
         meta["nodes"] = str(stats.nodes)
         if name == "homfly":
             value = poly.to_text()
@@ -298,11 +300,7 @@ def cmd_bench(args) -> int:
         t0 = time.perf_counter()
         _, memo_stats = homfly_with_stats(diagram, budget)
         memo_ms = (time.perf_counter() - t0) * 1000.0
-        plain_budget = SkeinBudget(
-            max_crossings=budget.max_crossings,
-            max_nodes=budget.max_nodes,
-            memo_enabled=False,
-        )
+        plain_budget = dataclasses.replace(budget, memo_enabled=False)
         t0 = time.perf_counter()
         _, plain_stats = homfly_with_stats(diagram, plain_budget)
         plain_ms = (time.perf_counter() - t0) * 1000.0
@@ -315,6 +313,7 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="knotqc",
@@ -364,9 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .braid import BraidWord
 from .errors import BudgetExceededError, ParseError
@@ -58,17 +59,14 @@ class PDDiagram:
     def __post_init__(self):
         if self.free_loops < 0:
             raise ValueError("free loop count cannot be negative")
-        inflow: dict[int, tuple[int, int]] = {}
-        outflow: dict[int, tuple[int, int]] = {}
-        for ci, c in enumerate(self.crossings):
-            for slot in range(4):
-                arc = c.arcs[slot]
-                table = inflow if slot in c.in_slots() else outflow
-                if arc in table:
-                    raise ValueError(f"arc {arc} flows the same way twice")
-                table[arc] = (ci, slot)
-        if set(inflow) != set(outflow):
-            raise ValueError("every arc needs exactly one inflow and one outflow slot")
+        # Distinct in-arcs, distinct successors and every out-arc entered
+        # somewhere: then each arc has exactly one inflow and one outflow.
+        try:
+            arc, succ = self._passes
+        except KeyError as exc:
+            raise ValueError(f"arc {exc.args[0]} is left but never entered") from None
+        if len(set(arc)) < len(arc) or len(set(succ)) < len(succ):
+            raise ValueError("an arc is entered twice or left twice")
 
     @classmethod
     def _derived(cls, crossings: tuple[Crossing, ...], free_loops: int) -> "PDDiagram":
@@ -84,12 +82,14 @@ class PDDiagram:
         object.__setattr__(d, "free_loops", free_loops)
         return d
 
+    @cached_property
     def _passes(self) -> tuple[list[int], list[int]]:
         """The pass table: the one traversal every walk of the diagram reads.
 
         Pass 2*ci enters crossing ci on the under-strand, pass 2*ci + 1 on
         the over-strand. arc[p] is the arc pass p enters on and succ[p]
-        the next pass along its strand.
+        the next pass along its strand. It is built once per diagram and
+        every reader shares its two lists, so none may write to them.
         """
         arc: list[int] = []
         out: list[int] = []
@@ -109,7 +109,7 @@ class PDDiagram:
 
     def components(self) -> int:
         """Closed strand cycles, free loops included."""
-        succ = self._passes()[1]
+        succ = self._passes[1]
         seen = bytearray(len(succ))
         count = self.free_loops
         for p in range(len(succ)):
@@ -175,7 +175,8 @@ class PDDiagram:
         return f"L{self.free_loops}|" + "||".join(codes)
 
     def _pieces(self) -> list["PDDiagram"]:
-        """Split into connected pieces (free loops stay on the parent)."""
+        """Split into connected pieces (free loops stay on the parent); a
+        connected diagram without free loops is its own one piece."""
         n = len(self.crossings)
         if n == 0:
             return []
@@ -187,11 +188,13 @@ class PDDiagram:
                 x = parent[x]
             return x
 
-        for p, q in enumerate(self._passes()[1]):
+        for p, q in enumerate(self._passes[1]):
             parent[find(p >> 1)] = find(q >> 1)
         groups: dict[int, list[Crossing]] = {}
         for ci, c in enumerate(self.crossings):
             groups.setdefault(find(ci), []).append(c)
+        if len(groups) == 1 and not self.free_loops:
+            return [self]
         return [PDDiagram._derived(tuple(cs), 0) for cs in groups.values()]
 
     def _get(self, index: int) -> Crossing:
@@ -267,7 +270,7 @@ def _cancel_bigons(d: PDDiagram) -> PDDiagram:
     first bigon found are glued past the pair.
     """
     while True:
-        arc, succ = d._passes()
+        arc, succ = d._passes
         for p in range(1, len(succ), 2):
             x, y = p >> 1, succ[p] >> 1
             if not succ[p] & 1 or x == y:
@@ -292,7 +295,7 @@ def _first_violation(d: PDDiagram) -> int | None:
     Each component is walked from its least arc, components in order of
     that arc.
     """
-    arc, succ = d._passes()
+    arc, succ = d._passes
     seen = bytearray(len(succ))
     for p in sorted(range(len(arc)), key=arc.__getitem__):
         while not seen[p]:
@@ -309,7 +312,7 @@ def _least_code(d: PDDiagram) -> list[int]:
     # low[p] is the part of pass p's symbol that does not depend on
     # numbering. Reversal keeps each pass's strand and sign and walks the
     # passes backwards.
-    succ = d._passes()[1]
+    succ = d._passes[1]
     low = [2 * (p & 1) + (d.crossings[p >> 1].sign > 0) for p in range(2 * n)]
     pred = [0] * (2 * n)
     for p, q in enumerate(succ):
@@ -558,7 +561,7 @@ def gauss_from_diagram(d: PDDiagram) -> GaussCode:
         raise ValueError("Gauss codes require a single-component diagram")
     if d.free_loops or d.components() != 1:
         raise ValueError("Gauss codes require a single-component diagram")
-    arc, succ = d._passes()
+    arc, succ = d._passes
     start = p = arc.index(min(arc))
     labels: dict[int, int] = {}
     entries = []

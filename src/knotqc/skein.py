@@ -55,70 +55,66 @@ class SkeinStats:
     memo_hits: int = 0
 
 
-@dataclass
-class _Frame:
-    diagram: PDDiagram
-    stage: int = 0
-    key: str | None = None
-    sign: int = 0
-    switch_child: "_Frame | None" = None
-    smooth_child: "_Frame | None" = None
-    value: LaurentPoly2 | None = None
-
-
-def _unlink_value(components: int) -> LaurentPoly2:
-    return DELTA ** (components - 1)
-
-
 def _evaluate(
     root: PDDiagram,
     budget: SkeinBudget,
     memo: dict[str, LaurentPoly2] | None,
     stats: SkeinStats,
 ) -> LaurentPoly2:
-    top = _Frame(root)
-    stack = [top]
-    while stack:
-        f = stack.pop()
-        if f.stage == 0:
+    """Post-order walk: a diagram on the work stack asks for its value; a
+    (key, sign) entry combines the two values its children left on top of
+    the value stack, the switch's above the smoothing's."""
+    work: list = [root]
+    values: list[LaurentPoly2] = []
+    while work:
+        item = work.pop()
+        if isinstance(item, tuple):
+            key, sign = item
+            switched, smoothed = values.pop(), values.pop()
+            if sign > 0:
+                # a P(K+) = a^-1 P(K-) + z P(K0), this diagram is K+.
+                value = _A_SQ_INV * switched + _A_INV_Z * smoothed
+            else:
+                # this diagram is K-.
+                value = _A_SQ * switched - _A_Z * smoothed
+        else:
             stats.nodes += 1
             if stats.nodes > budget.max_nodes:
                 raise BudgetExceededError(
                     f"skein recursion exceeded {budget.max_nodes} nodes"
                 )
-            f.diagram = _cancel_bigons(f.diagram)
+            d = _cancel_bigons(item)
+            key = None
             if memo is not None:
-                f.key = f.diagram.canonical_key()
-                cached = memo.get(f.key)
+                key = d.canonical_key()
+                cached = memo.get(key)
                 if cached is not None:
                     stats.memo_hits += 1
-                    f.value = cached
+                    values.append(cached)
                     continue
-            viol = _first_violation(f.diagram)
-            if viol is None:
-                f.value = _unlink_value(f.diagram.components())
-                if memo is not None:
-                    memo[f.key] = f.value
+            viol = _first_violation(d)
+            if viol is not None:
+                # The smoothing is popped, and so evaluated, first.
+                work += (
+                    (key, d.crossings[viol].sign),
+                    d.switch_crossing(viol),
+                    d.smooth_crossing(viol),
+                )
                 continue
-            f.sign = f.diagram.crossings[viol].sign
-            f.switch_child = _Frame(f.diagram.switch_crossing(viol))
-            f.smooth_child = _Frame(f.diagram.smooth_crossing(viol))
-            f.stage = 1
-            stack.append(f)
-            stack.append(f.switch_child)
-            stack.append(f.smooth_child)
-        else:
-            switched = f.switch_child.value
-            smoothed = f.smooth_child.value
-            if f.sign > 0:
-                # a P(K+) = a^-1 P(K-) + z P(K0), this diagram is K+.
-                f.value = _A_SQ_INV * switched + _A_INV_Z * smoothed
-            else:
-                # this diagram is K-.
-                f.value = _A_SQ * switched - _A_Z * smoothed
-            if memo is not None:
-                memo[f.key] = f.value
-    return top.value
+            value = DELTA ** (d.components() - 1)
+        values.append(value)
+        if memo is not None:
+            memo[key] = value
+    return values.pop()
+
+
+def _check_size(crossings: int, free_loops: int, budget: SkeinBudget) -> None:
+    # Free loops count too: each one multiplies a leaf value by DELTA.
+    if crossings + free_loops > budget.max_crossings:
+        raise BudgetExceededError(
+            f"diagram has {crossings} crossings and {free_loops} free loops, "
+            f"budget allows {budget.max_crossings} in all"
+        )
 
 
 def homfly_with_stats(
@@ -128,19 +124,13 @@ def homfly_with_stats(
 ) -> tuple[LaurentPoly2, SkeinStats]:
     """Like homfly, but also reports node and memo-hit counts."""
     budget = budget or SkeinBudget()
-    # Free loops count too: each one multiplies a leaf value by DELTA.
-    if len(d.crossings) + d.free_loops > budget.max_crossings:
-        raise BudgetExceededError(
-            f"diagram has {len(d.crossings)} crossings and {d.free_loops} free loops, "
-            f"budget allows {budget.max_crossings} in all"
-        )
+    _check_size(len(d.crossings), d.free_loops, budget)
     if memo is None and budget.memo_enabled:
         memo = {}
     if not budget.memo_enabled:
         memo = None
     stats = SkeinStats()
-    value = _evaluate(d, budget, memo, stats)
-    return value, stats
+    return _evaluate(d, budget, memo, stats), stats
 
 
 def homfly(
@@ -157,12 +147,18 @@ def homfly_braid(
     budget: SkeinBudget | None = None,
     memo: dict[str, LaurentPoly2] | None = None,
 ) -> LaurentPoly2:
-    return homfly(_as_diagram(b), budget, memo)
+    return homfly(as_diagram(b, budget), budget, memo)
 
 
-def _as_diagram(obj) -> PDDiagram:
+def as_diagram(obj, budget: SkeinBudget | None = None) -> PDDiagram:
+    """A diagram as is, or the closure of a braid's free reduction, refused
+    before it is built if its letters plus untouched strands (its free
+    loops) exceed the crossing budget."""
     if isinstance(obj, BraidWord):
-        return closure_to_diagram(obj.free_reduce())
+        b = obj.free_reduce()
+        touched = {abs(e) + k for e in b.letters for k in (0, 1)}
+        _check_size(len(b.letters), b.strands - len(touched), budget or SkeinBudget())
+        return closure_to_diagram(b)
     if isinstance(obj, PDDiagram):
         return obj
     raise TypeError(f"expected a braid word or diagram, got {type(obj).__name__}")
@@ -170,7 +166,7 @@ def _as_diagram(obj) -> PDDiagram:
 
 def jones(obj, budget: SkeinBudget | None = None) -> LaurentPoly1:
     """One-variable specialization in s (s**2 = t), normalized to 1 on the unknot."""
-    return specialize_jones(homfly(_as_diagram(obj), budget))
+    return specialize_jones(homfly(as_diagram(obj, budget), budget))
 
 
 def jones_at(obj, t: complex, budget: SkeinBudget | None = None) -> complex:
@@ -182,4 +178,4 @@ def jones_at(obj, t: complex, budget: SkeinBudget | None = None) -> complex:
 
 def homfly_coeff(obj, k: int, budget: SkeinBudget | None = None) -> LaurentPoly1:
     """The a-polynomial multiplying z**k in the two-variable invariant."""
-    return homfly(_as_diagram(obj), budget).coeff_z(k)
+    return homfly(as_diagram(obj, budget), budget).coeff_z(k)

@@ -4,7 +4,7 @@ Each walk reads the arc -> (crossing, slot) inflow map and the crossing
 slot layout, with no pass table: the component count, the Gauss code,
 the first-violation search, and a bigon search with its own tail/head
 maps that groups arcs by crossing pair and cancels bigons in that
-grouping's order. Tests hold PDDiagram._passes() and every walk that
+grouping's order. Tests hold PDDiagram._passes and every walk that
 reads it against these.
 """
 

@@ -1,8 +1,10 @@
 import math
 import time
+import tracemalloc
 
 import pytest
 
+from knotqc import cli
 from knotqc.cli import _reduced_words, _table_word_count, main
 from knotqc.errors import ParseError
 from knotqc.report import InvariantReport
@@ -238,6 +240,66 @@ def test_free_loops_budget_refused_fast(capsys):
     assert code == 2
     assert "budget" in err and "1598 free loops" in err and out == ""
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_over_budget_closure_refused_before_it_is_built(capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = run(
+            capsys, "invariant", "--braid", "n=1000000 1", "--invariant", "jones"
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "1 crossings and 999998 free loops" in err and out == ""
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--invariant", "jones"],
+        ["--invariant", "homfly"],
+        ["--invariant", "coeff", "--k", "0"],
+        ["--invariant", "jones-at", "--t", "1"],
+        ["--invariant", "burau"],
+    ],
+)
+def test_huge_strand_count_refused_fast(capsys, extra):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "invariant", "--braid", "n=100000000 1", *extra)
+    assert code == 2
+    assert "budget" in err and out == ""
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    argvs = [
+        ["invariant", "--braid", "1 -2 1", "--invariant", "jones"],
+        ["invariant", "--braid", "1 -2 1", "--invariant", "burau"],
+        ["invariant", "--braid", "1 -2 1", "--invariant", "burau", "--t", "0.6+0.8i"],
+        ["estimate", "--braid", "1 1 1", "--epsilon", "0.5", "--delta", "0.5", "--seed", "3"],
+        ["table", "--strands", "2", "--maxlen", "3"],
+        ["realizable", "--gauss", "O1+U2+O3+U1+O2+U3+"],
+        ["invariant", "--no-such-flag"],
+    ]
+
+    def one_round():
+        results = []
+        for argv in argvs:
+            code, out, _ = run(capsys, *argv)
+            lines = [line for line in out.splitlines() if not line.startswith("time_ms=")]
+            results.append((code, lines))
+        return results
+
+    first = one_round()
+    assert one_round() == first
+    assert cli.build_parser() is cli.build_parser()
+    assert [code for code, _ in first] == [0, 0, 0, 0, 0, 0, 1]
+    # --t of the numeric Burau call does not carry into the next call.
+    assert not any(line.startswith("meta.t=") for line in first[1][1])
+    assert any(line.startswith("meta.t=") for line in first[2][1])
 
 
 def test_table_groups(capsys):

@@ -18,7 +18,7 @@ from knotqc.diagram import (
     realizable_unsigned,
 )
 from knotqc.errors import BudgetExceededError, ParseError
-from knotqc.skein import _cancel_bigons
+from knotqc.skein import _cancel_bigons, homfly_with_stats
 
 import oracle_traversal
 from oracle_canonical import oracle_key
@@ -230,6 +230,7 @@ def test_pass_table_traversals_match_slot_oracle():
             if components == 1:
                 assert gauss_from_diagram(e) == oracle_traversal.gauss_from_diagram(e)
                 one_component += 1
+            assert e._passes == _rebuilt(e)._passes
             new, old = _cancel_bigons(e), oracle_traversal._cancel_bigons(e)
             assert len(new.crossings) == len(old.crossings)
             assert new.free_loops == old.free_loops
@@ -255,6 +256,56 @@ def test_diagram_validation():
         PDDiagram((Crossing((1, 2, 3, 4), 1),))
     with pytest.raises(ValueError):
         Crossing((1, 2, 3, 4), 2)
+
+
+# Each malformed diagram breaks two flow rules at once, since every
+# crossing has two in-slots and two out-slots.
+MALFORMED = {
+    "arc 1 entered twice": "X 1 1 1 2 +1",
+    "arc 1 left twice": "X 1 2 1 1 +1",
+    "arc 3 entered but never left": "X 1 2 4 1 +1\nX 3 2 4 4 -1",
+    "arcs 3 and 4 left but never entered": "X 1 2 3 4 +1",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED.values(), ids=list(MALFORMED))
+def test_malformed_diagrams_refused(text):
+    crossings = tuple(
+        Crossing(tuple(map(int, line.split()[1:5])), int(line.split()[5]))
+        for line in text.splitlines()
+    )
+    with pytest.raises(ValueError):
+        PDDiagram(crossings)
+    with pytest.raises(ParseError):
+        PDDiagram.parse(text)
+
+
+def test_negative_free_loops_refused():
+    # Diagram text counts loops by lines, so only the constructor can
+    # be handed a negative count.
+    with pytest.raises(ValueError, match="negative"):
+        PDDiagram((), -1)
+
+
+@pytest.mark.parametrize("text", ["X 1 2 2 1 +1", ""])
+def test_kink_and_empty_diagram_accepted(text):
+    d = PDDiagram.parse(text)
+    assert d.components() == 1 - (not text)
+    assert d == PDDiagram(d.crossings, d.free_loops)
+
+
+def test_pass_table_is_built_once_per_diagram(monkeypatch):
+    prop = vars(PDDiagram)["_passes"]
+    built = []
+
+    def counting(self, build=prop.func):
+        built.append(self)
+        return build(self)
+
+    monkeypatch.setattr(prop, "func", counting)
+    homfly_with_stats(closure_to_diagram(random_braid(4, 12, 5)))
+    assert len(built) > 20
+    assert len({id(d) for d in built}) == len(built)
 
 
 def test_parse_gauss_trefoil():

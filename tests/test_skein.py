@@ -7,9 +7,11 @@ from knotqc.braid import BraidWord, random_braid
 from knotqc.diagram import closure_to_diagram
 from knotqc.errors import BudgetExceededError
 from knotqc.laurent import LaurentPoly1, LaurentPoly2
+from knotqc import skein
 from knotqc.skein import (
     DELTA,
     SkeinBudget,
+    SkeinStats,
     homfly,
     homfly_braid,
     homfly_coeff,
@@ -23,6 +25,7 @@ from helpers import (
     insert_cancelling_pair,
     yang_baxter_variants,
 )
+import oracle_skein
 from oracle_skein import HOPF_POSITIVE, TREFOIL, UNKNOT, UNLINK2
 
 UNKNOT_WORD = BraidWord(1)
@@ -244,3 +247,32 @@ def test_skein_fingerprint_is_pinned():
     for word, expected in cases:
         _, stats = homfly_with_stats(closure_to_diagram(word.free_reduce()))
         assert (stats.nodes, stats.memo_hits) == expected
+
+
+def test_post_order_loop_matches_frame_oracle():
+    # The post-order loop against the frame machine it replaced, with the
+    # memo on, off, and shared across braids as a table request shares it:
+    # equal values, counts, and memo contents in insertion order.
+    rng = random.Random(8)
+    budget = SkeinBudget()
+    shared, shared_oracle = {}, {}
+    split = multi = mixed = 0
+    for _ in range(220):
+        n = rng.randrange(2, 6)
+        gens = rng.sample(range(1, n), rng.randrange(1, n))
+        letters = tuple(
+            rng.choice(gens) * rng.choice((1, -1)) for _ in range(rng.randrange(0, 10))
+        )
+        d = closure_to_diagram(BraidWord(n, letters).free_reduce())
+        for memo, oracle_memo in (({}, {}), (None, None), (shared, shared_oracle)):
+            stats, oracle_stats = SkeinStats(), SkeinStats()
+            value = skein._evaluate(d, budget, memo, stats)
+            assert value == oracle_skein._evaluate(d, budget, oracle_memo, oracle_stats)
+            assert stats == oracle_stats
+            if memo is not None:
+                assert list(memo.items()) == list(oracle_memo.items())
+        split += len(d._pieces()) + d.free_loops > 1
+        multi += d.components() > 1
+        mixed += min(letters, default=0) < 0 < max(letters, default=0)
+    assert split > 20 and multi > 20 and mixed > 20
+    assert len(shared) > 100
