@@ -239,14 +239,14 @@ def _reduced_words(alphabet: list[int], length: int):
 
 def cmd_table(args) -> int:
     n, maxlen = args.strands, args.maxlen
-    if n > _TABLE_MAX_STRANDS or maxlen > _TABLE_MAX_LEN:
-        raise BudgetExceededError(
-            f"table guard: strands <= {_TABLE_MAX_STRANDS}, maxlen <= {_TABLE_MAX_LEN}"
-        )
     if n < 2:
         raise ParseError("table needs at least 2 strands")
     if maxlen < 0:
         raise ParseError("table maxlen cannot be negative")
+    if n > _TABLE_MAX_STRANDS or maxlen > _TABLE_MAX_LEN:
+        raise BudgetExceededError(
+            f"table guard: strands <= {_TABLE_MAX_STRANDS}, maxlen <= {_TABLE_MAX_LEN}"
+        )
     count = _table_word_count(n, maxlen)
     if count > _TABLE_MAX_WORDS:
         raise BudgetExceededError(
@@ -259,7 +259,7 @@ def cmd_table(args) -> int:
     groups: dict[str, list[str]] = {}
     # A word that is not freely reduced has the key of its free reduction,
     # a shorter word met at an earlier length, so only reduced words are
-    # enumerated. Their keys are their least rotations (which start at a
+    # enumerated. Their keys are their least cyclic shifts (which start at a
     # least letter) and have their length, so keys never recur across
     # lengths.
     for length in range(maxlen + 1):

@@ -6,6 +6,11 @@ the incoming under-strand, plus a sign. Signs follow the braid picture
 slot 1 -> slot 3, in a negative crossing slot 3 -> slot 1. Split
 unknotted circles (no crossings) are tracked by a free-loop count so
 smoothing can disconnect diagrams.
+
+A signed Gauss code becomes crossings only in diagram_from_gauss, and
+its realizability is read off the faces of that diagram. Signed and
+unsigned Gauss text share one tokenizer and GaussCode's label check;
+unsigned realizability is Rosenstiehl's criterion on the labels' order.
 """
 
 from __future__ import annotations
@@ -435,22 +440,26 @@ class GaussCode:
         return f"GaussCode({self.to_text()})"
 
 
-_GAUSS_TOKEN = re.compile(r"\s*([OUou])\s*(\d+)\s*([+-])")
-_GAUSS_TOKEN_UNSIGNED = re.compile(r"\s*([OUou])\s*(\d+)")
+_GAUSS_TOKEN = re.compile(r"\s*([OUou])\s*(\d+)(?:\s*([+-]))?")
 
 
-def parse_gauss(text: str) -> GaussCode:
-    """Parse tokens like "O1+U2-"; validation errors become ParseError."""
+def _parse_code(text: str, signed: bool) -> GaussCode:
+    """Tokenize Gauss text (unsigned tokens get sign +1) and validate it.
+
+    A token needs a sign in signed text and may not have one in unsigned
+    text: it is reported from its start, or from its sign, respectively.
+    """
     entries = []
     pos = 0
     while pos < len(text):
         m = _GAUSS_TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise ParseError(f"bad Gauss code near {text[pos:pos+12]!r}")
+        if m is None or (m[3] is None) == signed:
+            bad = pos if m is None or signed else m.end(2)
+            if text[bad:].strip():
+                what = "Gauss" if signed else "unsigned"
+                raise ParseError(f"bad {what} code near {text[bad:bad + 12]!r}")
             break
-        kind, label, sign = m.group(1).upper(), int(m.group(2)), 1 if m.group(3) == "+" else -1
-        entries.append((kind, label, sign))
+        entries.append((m[1].upper(), int(m[2]), -1 if m[3] == "-" else 1))
         pos = m.end()
     try:
         return GaussCode(tuple(entries))
@@ -458,70 +467,43 @@ def parse_gauss(text: str) -> GaussCode:
         raise ParseError(str(exc)) from None
 
 
+def parse_gauss(text: str) -> GaussCode:
+    """Parse tokens like "O1+U2-"; validation errors become ParseError."""
+    return _parse_code(text, signed=True)
+
+
 def parse_unsigned_gauss(text: str) -> list[tuple[str, int]]:
     """Parse a sign-free sequence like "O1 U2 O3"."""
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _GAUSS_TOKEN_UNSIGNED.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise ParseError(f"bad unsigned code near {text[pos:pos+12]!r}")
-            break
-        out.append((m.group(1).upper(), int(m.group(2))))
-        pos = m.end()
-    seen: dict[int, set[str]] = {}
-    for kind, label in out:
-        seen.setdefault(label, set())
-        if kind in seen[label]:
-            raise ParseError(f"label {label} crosses {kind} twice")
-        seen[label].add(kind)
-    for label, kinds in seen.items():
-        if len(kinds) != 2:
-            raise ParseError(f"label {label} must occur once over and once under")
-    return out
+    return [(kind, label) for kind, label, _ in _parse_code(text, signed=False).entries]
 
 
 def euler_characteristic(code: GaussCode) -> tuple[int, int, int, int]:
     """(vertices, edges, faces, chi) of the carrier surface of a signed code.
 
-    The code's 4-valent graph is embedded on the closed surface spanned
-    by its sign-determined rotation system; faces are orbits of the
-    rotation composed with the edge-end involution.
+    The surface is the one the crossing records of diagram_from_gauss
+    span. A corner is a (crossing, slot) pair; a face is an orbit of the
+    step that crosses the corner's arc to its other end and moves on to
+    the next slot counterclockwise.
     """
-    m = len(code.entries)
-    c = m // 2
-    if m == 0:
+    crossings = diagram_from_gauss(code).crossings
+    if not crossings:
         return (0, 0, 2, 2)
-    pass_index: dict[tuple[str, int], int] = {}
-    for idx, (kind, label, _) in enumerate(code.entries):
-        pass_index[(kind, label)] = idx
-    # Dart (j, 0) = tail of edge j at pass j; dart (j, 1) = head at pass j+1.
-    rotation: dict[tuple[int, int], tuple[int, int]] = {}
-    for label in code.labels():
-        o = pass_index[(OVER, label)]
-        u = pass_index[(UNDER, label)]
-        sign = code.entries[o][2]
-        u_in, u_out = ((u - 1) % m, 1), (u, 0)
-        o_in, o_out = ((o - 1) % m, 1), (o, 0)
-        if sign > 0:
-            cycle = [u_in, o_in, u_out, o_out]
-        else:
-            cycle = [u_in, o_out, u_out, o_in]
-        for k, dart in enumerate(cycle):
-            rotation[dart] = cycle[(k + 1) % 4]
+    # Corner k is slot k % 4 of crossing k // 4. Sorted by arc, corners
+    # come in pairs: the two ends of one arc.
+    arcs = [a for x in crossings for a in x.arcs]
+    by_arc = sorted(range(len(arcs)), key=arcs.__getitem__)
+    other = [0] * len(arcs)
+    for x, y in zip(by_arc[::2], by_arc[1::2]):
+        other[x], other[y] = y, x
+    seen = bytearray(len(arcs))
     faces = 0
-    seen: set[tuple[int, int]] = set()
-    for dart in rotation:
-        if dart in seen:
-            continue
-        faces += 1
-        cur = dart
-        while cur not in seen:
-            seen.add(cur)
-            j, end = cur
-            cur = rotation[(j, 1 - end)]
-    return (c, m, faces, c - m + faces)
+    for k in range(len(arcs)):
+        faces += not seen[k]
+        while not seen[k]:
+            seen[k] = 1
+            k = other[k] - other[k] % 4 + (other[k] + 1) % 4
+    c = len(crossings)
+    return (c, 2 * c, faces, faces - c)
 
 
 def realizable(code: GaussCode) -> bool:
@@ -532,25 +514,57 @@ def realizable(code: GaussCode) -> bool:
 def realizable_unsigned(sequence: list[tuple[str, int]]) -> bool:
     """True iff some sign assignment makes the sequence realizable.
 
-    Brute force over all sign patterns, guarded to 16 crossings.
+    A planar curve takes any over/under choice, so only the order of the
+    labels matters. Two labels are interlaced when exactly one occurrence
+    of one lies between those of the other. By Rosenstiehl's criterion
+    (1976; de Fraysseix and Ossona de Mendez 1999) the word is a planar
+    curve's iff (i) every label has an even number of interlaced
+    neighbours, (ii) every non-interlaced pair shares an even number, and
+    (iii) the interlaced pairs sharing an even number form a cut: some
+    2-colouring separates exactly those pairs. Guarded to 16 crossings.
     """
     labels = sorted({label for _, label in sequence})
     if len(labels) > _UNSIGNED_GUARD:
         raise BudgetExceededError(
-            f"unsigned realizability is brute force; limit is {_UNSIGNED_GUARD} crossings"
+            f"unsigned realizability is limited to {_UNSIGNED_GUARD} crossings"
         )
-    if not sequence:
-        return True
-    for mask in range(1 << len(labels)):
-        signs = {
-            label: 1 if mask & (1 << k) else -1 for k, label in enumerate(labels)
-        }
-        code = GaussCode(
-            tuple((kind, label, signs[label]) for kind, label in sequence)
-        )
-        if realizable(code):
-            return True
-    return False
+    # Malformed input raises ValueError from the label check.
+    GaussCode(tuple((kind, label, 1) for kind, label in sequence))
+    index = {label: k for k, label in enumerate(labels)}
+    # nbr[k] is the bitset of labels met an odd number of times between
+    # label k's occurrences: a prefix XOR over the word.
+    nbr = [0] * len(labels)
+    after_first: dict[int, int] = {}
+    prefix = 0
+    for _, label in sequence:
+        k = index[label]
+        if k in after_first:
+            nbr[k] = prefix ^ after_first[k]
+        prefix ^= 1 << k
+        after_first.setdefault(k, prefix)
+    # Colour each interlacement component from a root, checking every pair
+    # (k, j) of a popped label k: (ii) off the graph, (iii) on it. A label
+    # is not interlaced with itself and shares all its neighbours with
+    # itself, so the pair (k, k) checks (i).
+    colour: list[int | None] = [None] * len(labels)
+    for root in range(len(labels)):
+        if colour[root] is not None:
+            continue
+        colour[root] = 0
+        stack = [root]
+        while stack:
+            k = stack.pop()
+            for j in range(len(labels)):
+                even = not (nbr[k] & nbr[j]).bit_count() & 1
+                if not nbr[k] >> j & 1:
+                    if not even:
+                        return False
+                elif colour[j] is None:
+                    colour[j] = colour[k] ^ even
+                    stack.append(j)
+                elif colour[j] != colour[k] ^ even:
+                    return False
+    return True
 
 
 def gauss_from_diagram(d: PDDiagram) -> GaussCode:
@@ -578,30 +592,19 @@ def gauss_from_diagram(d: PDDiagram) -> GaussCode:
 def diagram_from_gauss(code: GaussCode) -> PDDiagram:
     """Rebuild the planar diagram a signed code describes.
 
-    Arc j+1 runs from pass j to pass j+1 (cyclically), which fixes every
+    This is the one place a signed code becomes crossing records. Arc
+    j+1 runs from pass j to pass j+1 (cyclically), which fixes every
     crossing record once the sign places the over-strand's entry slot.
     """
     m = len(code.entries)
     if m == 0:
         return PDDiagram((), 1)
-    pass_index: dict[tuple[str, int], int] = {}
-    for idx, (kind, label, _) in enumerate(code.entries):
-        pass_index[(kind, label)] = idx
-
-    def arc_in(j: int) -> int:
-        return (j - 1) % m + 1
-
-    def arc_out(j: int) -> int:
-        return j + 1
-
+    at = {(kind, label): j for j, (kind, label, _) in enumerate(code.entries)}
     crossings = []
     for label in code.labels():
-        o = pass_index[(OVER, label)]
-        u = pass_index[(UNDER, label)]
+        u, o = at[UNDER, label], at[OVER, label]
+        u_in, o_in, u_out, o_out = (u - 1) % m + 1, (o - 1) % m + 1, u + 1, o + 1
         sign = code.entries[o][2]
-        if sign > 0:
-            arcs = (arc_in(u), arc_in(o), arc_out(u), arc_out(o))
-        else:
-            arcs = (arc_in(u), arc_out(o), arc_out(u), arc_in(o))
+        arcs = (u_in, o_in, u_out, o_out) if sign > 0 else (u_in, o_out, u_out, o_in)
         crossings.append(Crossing(arcs, sign))
     return PDDiagram(tuple(crossings), 0)

@@ -95,11 +95,6 @@ class LaurentPoly1(_Laurent):
         """Multiply by the variable to the k-th power."""
         return LaurentPoly1({e + k: c for e, c in self.terms.items()})
 
-    def degree(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no degree")
-        return max(self.terms)
-
     def valuation(self) -> int:
         if not self.terms:
             raise ValueError("zero polynomial has no valuation")

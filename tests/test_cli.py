@@ -339,6 +339,19 @@ def test_table_guard(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--strands", "5", "--maxlen", "-1"],
+        ["table", "--strands", "1", "--maxlen", "11"],
+    ],
+)
+def test_table_arguments_checked_before_guard(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == "" and "table guard" not in err
+
+
 @pytest.mark.parametrize("strands,maxlen", [(2, 10), (3, 5), (3, 6), (4, 5)])
 def test_table_matches_all_words_oracle(capsys, strands, maxlen):
     code, out, _ = run(
