@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .braid import BraidWord
+from .braid import BraidWord, _cycle_count
 from .errors import BudgetExceededError, ParseError
 
 OVER = "O"
@@ -77,7 +77,7 @@ class PDDiagram:
     def _derived(cls, crossings: tuple[Crossing, ...], free_loops: int) -> "PDDiagram":
         """A diagram the engine derives from a valid one, built unchecked.
 
-        Switching, smoothing, splitting and bigon cancellation keep every
+        Switching, smoothing and bigon cancellation keep every
         arc's one inflow and one outflow, and braid closure produces them
         by construction, so only input from outside goes through
         __post_init__.
@@ -114,15 +114,8 @@ class PDDiagram:
 
     def components(self) -> int:
         """Closed strand cycles, free loops included."""
-        succ = self._passes[1]
-        seen = bytearray(len(succ))
-        count = self.free_loops
-        for p in range(len(succ)):
-            count += not seen[p]
-            while not seen[p]:
-                seen[p] = 1
-                p = succ[p]
-        return count
+        # _cycle_count consumes its list; the shared table is read-only.
+        return self.free_loops + _cycle_count(list(self._passes[1]))
 
     def switch_crossing(self, index: int) -> "PDDiagram":
         """Exchange over and under at one crossing; everything else unchanged."""
@@ -174,33 +167,44 @@ class PDDiagram:
         dropped at its first symbol above the best so far. Piece codes
         are sorted and joined after the free-loop count. Equal keys hold
         exactly for diagrams equal up to relabeling and reversal of
-        split pieces.
+        split pieces. Pieces are found and walked on this diagram's own
+        pass table; no piece diagram is built.
         """
-        codes = sorted(",".join(map(str, _least_code(p))) for p in self._pieces())
-        return f"L{self.free_loops}|" + "||".join(codes)
-
-    def _pieces(self) -> list["PDDiagram"]:
-        """Split into connected pieces (free loops stay on the parent); a
-        connected diagram without free loops is its own one piece."""
-        n = len(self.crossings)
-        if n == 0:
-            return []
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for p, q in enumerate(self._passes[1]):
-            parent[find(p >> 1)] = find(q >> 1)
-        groups: dict[int, list[Crossing]] = {}
-        for ci, c in enumerate(self.crossings):
-            groups.setdefault(find(ci), []).append(c)
-        if len(groups) == 1 and not self.free_loops:
-            return [self]
-        return [PDDiagram._derived(tuple(cs), 0) for cs in groups.values()]
+        succ = self._passes[1]
+        signs = [c.sign for c in self.crossings]
+        # low[p] is the part of pass p's symbol that does not depend on
+        # numbering. Reversal keeps each pass's strand and sign and walks
+        # the passes backwards.
+        low = [2 * (p & 1) + (signs[p >> 1] > 0) for p in range(len(succ))]
+        pred = [0] * len(succ)
+        for p, q in enumerate(succ):
+            pred[q] = p
+        seen = bytearray(len(signs))
+        codes = []
+        for first in range(len(signs)):
+            if seen[first]:
+                continue
+            seen[first] = 1
+            piece = [first]
+            # Strands are cycles of succ, so following succ from both
+            # passes of every member reaches the whole piece.
+            for ci in piece:
+                for q in (succ[2 * ci], succ[2 * ci + 1]):
+                    if not seen[q >> 1]:
+                        seen[q >> 1] = 1
+                        piece.append(q >> 1)
+            # Under-passes of the negative crossings, or of all when none
+            # is negative, are a start set that relabeling and reversal
+            # preserve.
+            starts = [2 * ci for ci in piece if signs[ci] < 0] or [2 * ci for ci in piece]
+            best: list[int] = []
+            for step in (succ, pred):
+                for start in starts:
+                    code = _traverse(step, low, start, best, 2 * len(piece))
+                    if code is not None:
+                        best = code
+            codes.append(",".join(map(str, best)))
+        return f"L{self.free_loops}|" + "||".join(sorted(codes))
 
     def _get(self, index: int) -> Crossing:
         if not 0 <= index < len(self.crossings):
@@ -246,7 +250,8 @@ def _join_arcs(crossings, joins, free_loops: int) -> PDDiagram:
     Pairs are taken in order, each endpoint read through the renames
     made so far. A pair that is already one arc closes a free loop;
     otherwise the out-arc takes the in-arc's label, so every label stays
-    the parent's. The kept crossings are rebuilt once.
+    the parent's. Only kept crossings that touch a renamed arc are
+    rebuilt; the others are passed through as the same objects.
     """
     rename: dict[int, int] = {}
     for u, v in joins:
@@ -260,7 +265,10 @@ def _join_arcs(crossings, joins, free_loops: int) -> PDDiagram:
                 rename[old] = u
         rename[v] = u
     kept = tuple(
-        Crossing(tuple(rename.get(a, a) for a in c.arcs), c.sign) for c in crossings
+        c
+        if rename.keys().isdisjoint(c.arcs)
+        else Crossing(tuple(rename.get(a, a) for a in c.arcs), c.sign)
+        for c in crossings
     )
     return PDDiagram._derived(kept, free_loops)
 
@@ -311,45 +319,23 @@ def _first_violation(d: PDDiagram) -> int | None:
     return None
 
 
-def _least_code(d: PDDiagram) -> list[int]:
-    """The least traversal code of a connected diagram (see canonical_key)."""
-    n = len(d.crossings)
-    # low[p] is the part of pass p's symbol that does not depend on
-    # numbering. Reversal keeps each pass's strand and sign and walks the
-    # passes backwards.
-    succ = d._passes[1]
-    low = [2 * (p & 1) + (d.crossings[p >> 1].sign > 0) for p in range(2 * n)]
-    pred = [0] * (2 * n)
-    for p, q in enumerate(succ):
-        pred[q] = p
-    # Under-passes of the negative crossings, or of all when none is
-    # negative, are a start set that relabeling and reversal preserve.
-    starts = [2 * ci for ci, c in enumerate(d.crossings) if c.sign < 0] or range(0, 2 * n, 2)
-    best: list[int] = []
-    for step in (succ, pred):
-        for start in starts:
-            code = _traverse(step, low, start, best)
-            if code is not None:
-                best = code
-    return best
-
-
 def _traverse(
-    step: list[int], low: list[int], start: int, best: list[int]
+    step: list[int], low: list[int], start: int, best: list[int], passes: int
 ) -> list[int] | None:
-    """The code from one starting pass, or None once it exceeds ``best``."""
-    total = len(step)
-    number = [-1] * (total // 2)
+    """The code of the piece of ``passes`` passes that holds ``start``,
+    walked from there (see canonical_key), or None once it exceeds
+    ``best``."""
+    number = [-1] * (len(step) // 2)
     order: list[int] = []
-    seen = bytearray(total)
+    seen = bytearray(len(step))
     code: list[int] = []
     tied = bool(best)
     scan = 0
     p = start
-    for _ in range(total):
+    for _ in range(passes):
         if seen[p]:
             # Restart at the earliest-numbered crossing with an unvisited
-            # pass; in a connected piece one exists until the end.
+            # pass; in a piece one exists until its passes are all seen.
             while seen[2 * order[scan]] and seen[2 * order[scan] + 1]:
                 scan += 1
             p = 2 * order[scan] + seen[2 * order[scan]]
@@ -495,13 +481,7 @@ def euler_characteristic(code: GaussCode) -> tuple[int, int, int, int]:
     other = [0] * len(arcs)
     for x, y in zip(by_arc[::2], by_arc[1::2]):
         other[x], other[y] = y, x
-    seen = bytearray(len(arcs))
-    faces = 0
-    for k in range(len(arcs)):
-        faces += not seen[k]
-        while not seen[k]:
-            seen[k] = 1
-            k = other[k] - other[k] % 4 + (other[k] + 1) % 4
+    faces = _cycle_count([k - k % 4 + (k + 1) % 4 for k in other])
     c = len(crossings)
     return (c, 2 * c, faces, faces - c)
 

@@ -213,8 +213,15 @@ def _render_terms(items) -> str:
     return " ".join(parts)
 
 
+_DIGITS = "0123456789"
+
+
 def _scan_terms(text: str):
-    """Yield (coefficient, [(var, exp), ...]) for each term of the grammar."""
+    """Yield (coefficient, [(var, exp), ...]) for each term of the grammar.
+
+    Integers are ASCII decimal digits only: str.isdigit also admits
+    characters such as superscripts that int() rejects.
+    """
     i, n = 0, len(text)
 
     def skip_ws(i):
@@ -226,9 +233,9 @@ def _scan_terms(text: str):
         j = i
         if j < n and text[j] == "-":
             j += 1
-        if j >= n or not text[j].isdigit():
+        if j >= n or text[j] not in _DIGITS:
             raise ParseError(f"expected integer at position {i} in {text!r}")
-        while j < n and text[j].isdigit():
+        while j < n and text[j] in _DIGITS:
             j += 1
         return int(text[i:j]), j
 
@@ -246,7 +253,7 @@ def _scan_terms(text: str):
         factors: list[tuple[str, int]] = []
         while i < n:
             ch = text[i]
-            if ch.isdigit():
+            if ch in _DIGITS:
                 value, i = read_int(i)
                 coeff = value if coeff is None else coeff * value
             elif ch.isalpha():
@@ -261,7 +268,7 @@ def _scan_terms(text: str):
             i = skip_ws(i)
             if i < n and text[i] == "*":
                 i = skip_ws(i + 1)
-                if i >= n or not (text[i].isdigit() or text[i].isalpha()):
+                if i >= n or not (text[i] in _DIGITS or text[i].isalpha()):
                     raise ParseError(f"dangling '*' in {text!r}")
         if coeff is None and not factors:
             raise ParseError(f"empty term in {text!r}")

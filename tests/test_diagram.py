@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from knotqc import diagram
 from knotqc.braid import BraidWord, random_braid
 from knotqc.diagram import (
     Crossing,
@@ -21,7 +22,7 @@ from knotqc.errors import BudgetExceededError, ParseError
 from knotqc.skein import _cancel_bigons, homfly_with_stats
 
 import oracle_traversal
-from oracle_canonical import oracle_key
+from oracle_canonical import frozen_key, oracle_key, pieces
 
 TREFOIL_CODE = "O1+U2+O3+U1+O2+U3+"
 INTERLACED = "O1+O2+U1+U2+"
@@ -136,7 +137,7 @@ def _relabel_and_shuffle(d, rng):
 
 def _reverse_some_pieces(d, rng):
     crossings = []
-    for piece in d._pieces():
+    for piece in pieces(d):
         crossings.extend((piece.reversed() if rng.random() < 0.5 else piece).crossings)
     return PDDiagram(tuple(crossings), d.free_loops)
 
@@ -165,8 +166,105 @@ def test_canonical_key_matches_oracle_partition():
         assert new_to_old.setdefault(new, old) == old
         assert old_to_new.setdefault(old, new) == new
     assert len(new_to_old) < len(corpus) // 2
-    assert any(len(d._pieces()) > 1 for d in corpus)
+    assert any(len(pieces(d)) > 1 for d in corpus)
     assert any(d.free_loops and d.crossings for d in corpus)
+
+
+def test_canonical_key_equals_frozen_copy():
+    # Pieces are found on the diagram's own pass table; the key must be
+    # the string the per-piece diagrams gave, on closures of 1-5 strands,
+    # their switches, smoothings and bigon reductions, and relabeled and
+    # reordered copies.
+    rng = random.Random(1010)
+    checked = split = loops = 0
+    while checked < 6000:
+        n = rng.randrange(1, 6)
+        length, seed = rng.randrange(0, 12), rng.randrange(10**9)
+        d = closure_to_diagram(random_braid(n, length, seed) if n > 1 else BraidWord(1))
+        family = [d]
+        for k in range(len(d.crossings)):
+            family += [d.switch_crossing(k), d.smooth_crossing(k)]
+        family += [_cancel_bigons(e) for e in family]
+        family += [_relabel_and_shuffle(rng.choice(family), rng)]
+        for e in family:
+            assert e.canonical_key() == frozen_key(e)
+            split += len(pieces(e)) > 1
+            loops += bool(e.free_loops and e.crossings)
+            checked += 1
+    assert split > 500 and loops > 500
+
+
+@pytest.mark.parametrize(
+    "word",
+    [BraidWord(4, (1, 3, 1, -3, 1)), BraidWord(3, (1, -1, 1))],
+    ids=["split", "free-loop"],
+)
+def test_canonical_key_builds_only_its_own_pass_table(monkeypatch, word):
+    prop = vars(PDDiagram)["_passes"]
+    built = []
+
+    def counting(self, build=prop.func):
+        built.append(self)
+        return build(self)
+
+    monkeypatch.setattr(prop, "func", counting)
+    expected = frozen_key(closure_to_diagram(word))
+    built.clear()
+    d = closure_to_diagram(word)
+    assert d.canonical_key() == expected
+    assert len(built) == 1 and built[0] is d
+
+
+def _join_all(crossings, joins, free_loops: int) -> PDDiagram:
+    """Glue arcs as _join_arcs does, rebuilding every kept crossing."""
+    rename: dict[int, int] = {}
+    for u, v in joins:
+        u, v = rename.get(u, u), rename.get(v, v)
+        if u == v:
+            free_loops += 1
+            continue
+        for old, new in rename.items():
+            if new == v:
+                rename[old] = u
+        rename[v] = u
+    kept = tuple(
+        Crossing(tuple(rename.get(a, a) for a in c.arcs), c.sign) for c in crossings
+    )
+    return PDDiagram._derived(kept, free_loops)
+
+
+def test_join_arcs_rebuilds_only_touched_crossings(monkeypatch):
+    # Smoothings and bigon cancellations glue arcs through _join_arcs; the
+    # result equals a full rebuild, and every crossing that touches no
+    # renamed arc is passed through as the same object.
+    calls = []
+
+    def recording(crossings, joins, free_loops, join=diagram._join_arcs):
+        crossings = tuple(crossings)
+        result = join(crossings, joins, free_loops)
+        calls.append((crossings, joins, free_loops, result))
+        return result
+
+    monkeypatch.setattr(diagram, "_join_arcs", recording)
+    rng = random.Random(3131)
+    for _ in range(150):
+        d = closure_to_diagram(
+            random_braid(rng.randrange(2, 6), rng.randrange(1, 12), rng.randrange(10**9))
+        )
+        for k in range(len(d.crossings)):
+            _cancel_bigons(d.smooth_crossing(k))
+            _cancel_bigons(d.switch_crossing(k))
+    kept = touched = 0
+    for crossings, joins, free_loops, result in calls:
+        full = _join_all(crossings, joins, free_loops)
+        assert result == full
+        for old, new, rebuilt in zip(crossings, result.crossings, full.crossings):
+            if rebuilt == old:
+                assert new is old
+                kept += 1
+            else:
+                touched += 1
+    assert len(calls) > 2000 and kept > 1000 and touched > 1000
 
 
 def _rebuilt(d: PDDiagram) -> PDDiagram:
@@ -192,11 +290,11 @@ def test_derived_diagrams_pass_the_checked_constructor():
         for e in list(family):
             reduced = _cancel_bigons(e)
             cancelled += len(reduced.crossings) < len(e.crossings)
-            family += [reduced, *reduced._pieces(), *e._pieces()]
+            family += [reduced, *pieces(reduced), *pieces(e)]
         for e in family:
             assert _rebuilt(e) == e
             derived += 1
-        split += len(d._pieces()) + d.free_loops > 1
+        split += len(pieces(d)) + d.free_loops > 1
         multi += d.components() > 1
     assert derived > 2000
     assert split and multi and cancelled
@@ -221,7 +319,7 @@ def test_pass_table_traversals_match_slot_oracle():
         for k in range(len(d.crossings)):
             family += [d.switch_crossing(k), d.smooth_crossing(k)]
         for e in list(family):
-            family += [_cancel_bigons(e), *e._pieces()]
+            family += [_cancel_bigons(e), *pieces(e)]
         family += [_relabel_and_shuffle(e, rng) for e in family]
         for e in family:
             assert _first_violation(e) == oracle_traversal._first_violation(e)

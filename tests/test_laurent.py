@@ -187,6 +187,11 @@ def test_parse_errors():
         LaurentPoly2.parse("q^2")
     with pytest.raises(ParseError):
         LaurentPoly2.parse("2*")
+    # Digits are ASCII: int() rejects superscripts that str.isdigit admits.
+    with pytest.raises(ParseError):
+        LaurentPoly1.parse("s^²")
+    with pytest.raises(ParseError):
+        LaurentPoly2.parse("2²")
 
 
 def test_views_stay_distinct_types():

@@ -26,6 +26,7 @@ from helpers import (
     yang_baxter_variants,
 )
 import oracle_skein
+from oracle_canonical import pieces
 from oracle_skein import HOPF_POSITIVE, TREFOIL, UNKNOT, UNLINK2
 
 UNKNOT_WORD = BraidWord(1)
@@ -271,7 +272,7 @@ def test_post_order_loop_matches_frame_oracle():
             assert stats == oracle_stats
             if memo is not None:
                 assert list(memo.items()) == list(oracle_memo.items())
-        split += len(d._pieces()) + d.free_loops > 1
+        split += len(pieces(d)) + d.free_loops > 1
         multi += d.components() > 1
         mixed += min(letters, default=0) < 0 < max(letters, default=0)
     assert split > 20 and multi > 20 and mixed > 20
