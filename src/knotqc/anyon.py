@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .braid import BraidWord
+from .braid import BraidWord, _check_seed
 from .errors import BudgetExceededError
 
 VACUUM = 0
@@ -77,8 +77,9 @@ MAX_UNITARY_BYTES = 256 * 2**20
 # within eps of the normalized trace with probability >= 1 - delta.
 SAMPLE_CONSTANT = 8
 
-# Samples per part beyond which jones_estimate refuses: a few seconds of
-# sampling here, against about 33k per part at eps = 0.03, delta = 0.05.
+# Samples per part beyond which jones_estimate refuses. 975,572 per part
+# (eps = 0.0055, delta = 0.05) sample in 0.6-0.7 s on a 2-CPU Xeon VM, on
+# 2 and on 12 strands, against about 33k per part at eps = 0.03.
 MAX_SAMPLES_PER_PART = 1_000_000
 
 _PHASES = np.array(R_PHASES)
@@ -304,6 +305,7 @@ def fusion_probabilities(
 
 def sample_measurement(state: AnyonState, layout: QubitLayout, seed: int) -> str:
     """Fuse each qubit's measured pair in turn, collapsing in between."""
+    _check_seed(seed)
     rng = random.Random(seed)
     amp = state.amplitudes.copy()
     bits = []
@@ -395,10 +397,12 @@ def jones_estimate(
     """Monte-Carlo additive approximation of the Jones value at e^(2 pi i/5).
 
     With probability >= 1 - delta the estimate lands within
-    epsilon * loop_weight^(n-1) of the exact evaluation.
+    epsilon * loop_weight^(n-1) of the exact evaluation. The seed must be
+    non-negative; a fixed seed gives a fixed estimate.
     """
     if not 0 < epsilon < 1 or not 0 < delta < 1:
         raise ValueError("epsilon and delta must lie in (0, 1)")
+    _check_seed(seed)
     # sample_count > MAX without its division, which over- or underflows.
     if SAMPLE_CONSTANT * math.log(2 / delta) > MAX_SAMPLES_PER_PART * epsilon**2:
         raise BudgetExceededError(
@@ -414,17 +418,25 @@ def jones_estimate(
     weight_sum = sum(w for w, _, _ in sectors)
     first_weight = sectors[0][0]
     rng = random.Random(seed)
-    draw, randrange = rng.random, rng.randrange
+    draw, bits = rng.random, rng.getrandbits
     sums = []
     for part in (1, 2):
         # A path is drawn by its quantum dimension: a sector by weight (of
-        # at most two, the last also takes round-off), then a path in it.
-        first, last = sectors[0][part], sectors[-1][part]
+        # at most two, the last also takes round-off), then a path in it
+        # by random.Random's own rule for a bounded integer: k =
+        # size.bit_length() bits, drawn again while not below size. That
+        # reads the same words of the stream as Random's bounded draw.
+        first, last = (
+            (probs, len(probs), len(probs).bit_length())
+            for probs in (sectors[0][part], sectors[-1][part])
+        )
         pm_sum = 0
         for _ in range(m):
-            probs = first if draw() * weight_sum < first_weight else last
-            p_zero = probs[randrange(len(probs))]
-            pm_sum += 1 if draw() < p_zero else -1
+            probs, size, k = first if draw() * weight_sum < first_weight else last
+            r = bits(k)
+            while r >= size:
+                r = bits(k)
+            pm_sum += 1 if draw() < probs[r] else -1
         sums.append(pm_sum)
     # Each +-1 draw has expectation 2*P(0) - 1 = the tested trace part.
     trace_est = sums[0] / m + 1j * sums[1] / m

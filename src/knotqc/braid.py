@@ -178,10 +178,18 @@ def parse_braid(text: str) -> BraidWord:
     return BraidWord(strands, tuple(letters))
 
 
+def _check_seed(seed: int) -> None:
+    """random.Random seeds from abs(seed), so -s would silently repeat s."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+
+
 def random_braid(n: int, length: int, seed: int) -> BraidWord:
-    """Uniform letters over +-{1..n-1}; deterministic for a fixed seed."""
+    """Uniform letters over +-{1..n-1}; deterministic for a fixed
+    non-negative seed."""
     if n < 2:
         raise ValueError("random braids need at least 2 strands")
+    _check_seed(seed)
     rng = random.Random(seed)
     letters = []
     for _ in range(length):

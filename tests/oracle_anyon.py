@@ -6,13 +6,31 @@ analysis on fusion paths, a braid's unitary is the product of its letter
 matrices, and the Hadamard-test probabilities come from simulating the
 ancilla circuit on a 2*dim state, so tests can compare the sparse
 gathers and the closed-form probabilities against them.
+
+frozen_jones_estimate keeps the estimator's sampling loop as it was when
+each path index came from rng.randrange, so tests can check that the
+inline draw reads the same random stream.
 """
 
 import math
+import random
 
 import numpy as np
 
-from knotqc.anyon import F_MATRIX, POSITIVE_ACTS_CONJUGATED, R_PHASES, TAU, VACUUM, fusion_basis
+from knotqc.anyon import (
+    F_MATRIX,
+    POSITIVE_ACTS_CONJUGATED,
+    R_PHASES,
+    TAU,
+    VACUUM,
+    _braid_matrix,
+    _dense_sectors,
+    _hadamard_zero_probs,
+    fusion_basis,
+    quantum_dimension,
+    sample_count,
+    trace_normalization,
+)
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
@@ -65,3 +83,34 @@ def hadamard_test_probs(m: np.ndarray, p_idx: int) -> tuple[float, float]:
     s_dag = np.kron(np.diag([1, -1j]), np.eye(dim))
     p_im = float(np.linalg.norm((h @ (s_dag @ mid))[:dim]) ** 2)
     return p_re, p_im
+
+
+def frozen_jones_estimate(b, epsilon: float, delta: float, seed: int):
+    """(value, sum_re, sum_im, stderr_re, stderr_im) of the randrange
+    sampling loop, body unchanged; the sample budget is not checked."""
+    m = sample_count(epsilon, delta)
+    n = b.strands
+    sectors = []
+    for total, dim in _dense_sectors(n):
+        p_re, p_im = _hadamard_zero_probs(_braid_matrix(b.letters, n, total))
+        sectors.append((quantum_dimension(total) * dim, p_re, p_im))
+    weight_sum = sum(w for w, _, _ in sectors)
+    first_weight = sectors[0][0]
+    rng = random.Random(seed)
+    draw, randrange = rng.random, rng.randrange
+    sums = []
+    for part in (1, 2):
+        # A path is drawn by its quantum dimension: a sector by weight (of
+        # at most two, the last also takes round-off), then a path in it.
+        first, last = sectors[0][part], sectors[-1][part]
+        pm_sum = 0
+        for _ in range(m):
+            probs = first if draw() * weight_sum < first_weight else last
+            p_zero = probs[randrange(len(probs))]
+            pm_sum += 1 if draw() < p_zero else -1
+        sums.append(pm_sum)
+    # Each +-1 draw has expectation 2*P(0) - 1 = the tested trace part.
+    trace_est = sums[0] / m + 1j * sums[1] / m
+    norm = trace_normalization(n, b.writhe())
+    stderr_re, stderr_im = (math.sqrt((1 - (s / m) ** 2) / m) for s in sums)
+    return norm * trace_est, sums[0], sums[1], stderr_re, stderr_im

@@ -439,6 +439,39 @@ def test_jones_estimate_values_are_pinned(b, epsilon, delta, seed, value):
     assert est.stderr_im == math.sqrt((1 - (est.sum_im / m) ** 2) / m)
 
 
+def test_jones_estimate_matches_frozen_randrange_loop():
+    # n = 1 has one sector of one path; n = 2, 3 and 6 reach the sector
+    # sizes 1, 2 and 8, where the rejection draw is redone most often.
+    rng = random.Random(59)
+    cases = 0
+    sizes = set()
+    for n in range(1, 13):
+        sizes.update(len(fusion_basis(n, total)) for total in (VACUUM, TAU))
+        for delta in (0.05, 0.1, 0.3):
+            b = BraidWord(1) if n == 1 else random_braid(n, rng.randrange(0, 3 * n), rng.randrange(10**9))
+            for epsilon in (0.5, 0.2, 0.1):
+                for seed in (0, 2**32 + 1, 2**64 + 3):
+                    est = jones_estimate(b, epsilon, delta, seed)
+                    got = (est.value, est.sum_re, est.sum_im, est.stderr_re, est.stderr_im)
+                    assert got == oracle_anyon.frozen_jones_estimate(b, epsilon, delta, seed)
+                    cases += 1
+    assert cases >= 300
+    assert {1, 2, 8} <= sizes
+
+
+def test_negative_seeds_are_refused():
+    # random.Random(-s) is random.Random(s): a negative seed would repeat
+    # its positive twin while reporting itself.
+    b = BraidWord(2, (1, 1, 1))
+    with pytest.raises(ValueError, match="seed"):
+        jones_estimate(b, 0.2, 0.05, -7)
+    with pytest.raises(ValueError, match="seed"):
+        random_braid(4, 10, -3)
+    with pytest.raises(ValueError, match="seed"):
+        sample_measurement(init_state(1), QubitLayout.default(1), -1)
+    assert jones_estimate(b, 0.2, 0.05, 0).seed == 0
+
+
 def test_measurement_on_twenty_anyons_builds_no_dense_matrix():
     layout = QubitLayout.default(5)
     dim = len(fusion_basis(20, VACUUM))

@@ -184,6 +184,16 @@ def test_estimate_invalid_epsilon(capsys):
     assert code == 1
 
 
+def test_estimate_negative_seed_is_refused(capsys):
+    code, out, err = run(
+        capsys, "estimate", "--braid", "1 1 1", "--epsilon", "0.2", "--delta", "0.05",
+        "--seed", "-7",
+    )
+    assert code == 1
+    assert out == ""
+    assert "seed" in err
+
+
 @pytest.mark.parametrize(
     "braid, epsilon, delta",
     [
