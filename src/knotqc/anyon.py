@@ -3,23 +3,24 @@
 State space: fusion paths. A path lists the running total charge while
 absorbing anyons one at a time, starting from the vacuum; admissible
 steps follow tau x tau = 1 + tau, so sector dimensions grow like
-Fibonacci numbers. Braiding two neighbours acts on the single enclosed
-path label, diagonally (an R phase) when the flanking labels determine
-the pair's fusion channel, and through the golden-ratio F matrix when
-both channels are open. Qubits live in anyon quartets; measuring fuses
-the first pair of each quartet (vacuum = 0, combined = 1).
+Fibonacci numbers. Qubits live in anyon quartets; measuring fuses the
+first pair of each quartet (vacuum = 0, combined = 1).
 
-One table per (pair, anyon count, sector) records that case analysis:
-each path's partner (itself when the channel is forced) and its F-basis
-row. Exchanges and fusion projections are channel weightings read off
-the table, applied as an O(dim) gather; only the trace and the
-estimator build a dense sector unitary, under MAX_UNITARY_BYTES.
+The model is the Temperley-Lieb (Kauffman bracket) path representation
+of Aharonov, Jones and Landau at one constant A, with t = A^-4 =
+e^(2 pi i / 5). The generator E_i acts on the path label between
+anyons i and i+1, mixing it with its partner label by quantum
+dimensions, and everything else is linear in it: braid letter +-i is
+B + B^-1 E_i with B = A^+-1, the pair's vacuum projector is E_i/phi
+(phi = -A^2 - A^-2 is the loop value) and its tau projector 1 - E_i/phi.
+One table per (pair, anyon count, sector) stores E_i as each path's
+partner and two weights, so a letter or a projection is an O(dim)
+gather; only the trace and the estimator build a dense sector unitary,
+under MAX_UNITARY_BYTES.
 
-The weighted trace of a braid's unitary, normalized by a writhe phase
-and a per-strand loop weight, equals the Jones evaluation at
-t = e^(2 pi i / 5) of the braid's trace closure; the constants below
-were calibrated once against the exact skein engine (unknot and
-trefoil instances) and then frozen. jones_estimate reproduces the
+The weighted trace of a braid's unitary, normalized by the writhe phase
+A^-3 and the loop weight -phi per strand, equals the Jones evaluation
+at t of the braid's trace closure. jones_estimate reproduces the
 quantum-algorithm route: sample a fusion path by its quantum dimension,
 run a simulated Hadamard test against the braid unitary, and average.
 """
@@ -42,26 +43,14 @@ TAU = 1
 
 PHI = (1 + math.sqrt(5)) / 2
 
-# Braiding eigenphases of a neighbouring pair, by fusion channel.
-R_PHASES = (cmath.exp(-4j * math.pi / 5), cmath.exp(3j * math.pi / 5))
+# The Kauffman bracket variable: A^-4 = e^(2 pi i/5) and -A^2 - A^-2 = phi.
+A = -cmath.exp(2j * math.pi / 5)
 
-# Basis change between the two fusion orders of three tau anyons;
-# real, symmetric, and self-inverse.
-F_MATRIX = np.array(
-    [[1 / PHI, PHI**-0.5], [PHI**-0.5, -1 / PHI]], dtype=float
-)
-
-# Calibration, frozen after matching the exact skein pipeline on the
-# unknot and trefoil closures and validating on the Hopf link, the
-# mirror trefoil, and 300 random braids (see trace_normalization):
-#  - a positive braid letter acts by the conjugate transpose of the
-#    R/F-built generator (the listed R phases are the opposite
-#    chirality for the e^(2 pi i/5) target),
-#  - writhe phase alpha = e^(-pi i/5), loop weight = -phi. The loop
-#    weight's sign is fixed by even-component links (the Hopf instance);
-#    knots alone cannot see it.
-POSITIVE_ACTS_CONJUGATED = True
-TRACE_ALPHA = cmath.exp(-1j * math.pi / 5)
+# Kauffman's normalization (-A^3)^-writhe d^(n-1) with A replaced by iA,
+# whose A^-2 = e^(pi i/5) is the square root of t the skein engine uses;
+# the letters' factor i^writhe cancels against the writhe phase's, which
+# leaves A^-3 and -d = -phi.
+TRACE_ALPHA = A**-3
 TRACE_LOOP_WEIGHT = -PHI
 
 # Fusion paths are enumerated as tuples; 24 anyons is about 75k paths.
@@ -81,9 +70,6 @@ SAMPLE_CONSTANT = 8
 # (eps = 0.0055, delta = 0.05) sample in 0.6-0.7 s on a 2-CPU Xeon VM, on
 # 2 and on 12 strands, against about 33k per part at eps = 0.03.
 MAX_SAMPLES_PER_PART = 1_000_000
-
-_PHASES = np.array(R_PHASES)
-_CHANNEL_WEIGHTS = np.eye(2)
 
 
 def quantum_dimension(charge: int) -> float:
@@ -135,47 +121,44 @@ def _basis_index(n: int, total: int) -> dict[tuple[int, ...], int]:
 
 @lru_cache(maxsize=256)
 def _pair_table(a: int, n: int, total: int):
-    """The fusion channel of anyons (a, a+1) on every basis path.
+    """The Temperley-Lieb generator E_a on every basis path.
 
-    Flanking labels 1, 1 force the vacuum channel and unequal flanks the
-    tau channel; such a path is its own partner. Flanks t, t leave both
-    channels open: the vacuum-mid and tau-mid paths are partners, and the
-    channel amplitudes are F times theirs. Returns (partner, diag, off),
-    where an operator that multiplies channel c by w[c] is diag @ w on a
-    path's own amplitude and off @ w on its partner's. Entries are O(dim)
-    arrays, a few hundred at most.
+    E_a is zero on a path unless its flanking labels path[a-1] and
+    path[a+1] are equal. Then it mixes the mid label m = path[a] with the
+    other mid label m' by sqrt(d_m d_m') / d_flank, with d_m / d_flank on
+    the diagonal, d being the quantum dimension. m' is admissible only
+    between tau flanks; elsewhere a path is its own partner with no
+    off-diagonal weight. Returns (partner, diag, off): E_a x is
+    diag*x + off*x[partner]. Entries are O(dim) arrays, a few hundred at
+    most.
     """
     if not 1 <= a <= n - 1:
         raise ValueError(f"exchange index {a} out of range for {n} anyons")
     basis = fusion_basis(n, total)
     index = _basis_index(n, total)
     partner = np.arange(len(basis))
-    rows = np.zeros((len(basis), 2))
-    partner_rows = np.zeros((len(basis), 2))
+    diag = np.zeros(len(basis))
+    off = np.zeros(len(basis))
     for p, path in enumerate(basis):
-        left, mid, right = path[a - 1], path[a], path[a + 1]
-        if left == TAU and right == TAU:
+        flank, mid = path[a - 1], path[a]
+        if flank != path[a + 1]:
+            continue
+        d_flank, d_mid = quantum_dimension(flank), quantum_dimension(mid)
+        diag[p] = d_mid / d_flank
+        if flank == TAU:
             partner[p] = index[path[:a] + (1 - mid,) + path[a + 1 :]]
-            rows[p] = F_MATRIX[mid]
-            partner_rows[p] = F_MATRIX[1 - mid]
-        else:
-            rows[p, VACUUM if left == right else TAU] = 1.0
-    return partner, rows * rows, rows * partner_rows
-
-
-def _pair_action(a: int, n: int, total: int, weights: np.ndarray):
-    """(partner, d, o) of the operator scaling pair (a, a+1)'s channels by weights."""
-    partner, diag, off = _pair_table(a, n, total)
-    return partner, diag @ weights, off @ weights
+            off[p] = math.sqrt(d_mid * quantum_dimension(1 - mid)) / d_flank
+    return partner, diag, off
 
 
 @lru_cache(maxsize=256)
 def _letter_action(e: int, n: int, total: int):
-    """A braid letter's pair action. The F.R.F block is symmetric, so the
-    conjugate transpose a positive letter acts by is the conjugate. Cached
-    like _pair_table; the arrays are read-only because they are shared."""
-    conjugated = (e > 0) == POSITIVE_ACTS_CONJUGATED
-    action = _pair_action(abs(e), n, total, _PHASES.conj() if conjugated else _PHASES)
+    """Letter e acts by B + B^-1 E_|e|, with B = A for e > 0 and A^-1 for
+    e < 0. Cached like _pair_table; the arrays are read-only because they
+    are shared."""
+    b, b_inv = (A, 1 / A) if e > 0 else (1 / A, A)
+    partner, diag, off = _pair_table(abs(e), n, total)
+    action = partner, b + b_inv * diag, b_inv * off
     for array in action:
         array.setflags(write=False)
     return action
@@ -194,11 +177,15 @@ def _act(action, x: np.ndarray) -> np.ndarray:
 
 
 def sigma_unitary(i: int, n: int, total: int) -> np.ndarray:
-    """Dense matrix of the exchange of anyons i and i+1 on the fusion-path
-    basis, for tests and inspection; the simulator applies the table."""
+    """Dense matrix of letter -i, A^-1 + A E_i, on the fusion-path basis:
+    the exchange of anyons i and i+1 with braiding phase e^(-4 pi i/5) on
+    their vacuum channel and e^(3 pi i/5) on their tau channel. For tests
+    and inspection; the simulator applies the table."""
+    if i < 1:
+        raise ValueError(f"exchange index {i} out of range for {n} anyons")
     _dense_sectors(n)  # refuses past MAX_UNITARY_BYTES
     u = np.eye(len(fusion_basis(n, total)), dtype=complex)
-    return _act(_pair_action(i, n, total, _PHASES), u)
+    return _act(_letter_action(-i, n, total), u)
 
 
 # Each entry is a dense sector unitary; two hold both sectors of the last
@@ -283,8 +270,14 @@ def apply_braid(state: AnyonState, b: BraidWord) -> AnyonState:
 
 
 def _project_pair(n: int, total: int, amp: np.ndarray, a: int, channel: int) -> np.ndarray:
-    """Project onto the pair (a, a+1) fusing to the channel; no renormalization."""
-    return _act(_pair_action(a, n, total, _CHANNEL_WEIGHTS[channel]), amp.copy())
+    """Project onto the pair (a, a+1) fusing to the channel, by E_a/phi for
+    the vacuum and 1 - E_a/phi for tau; no renormalization."""
+    partner, diag, off = _pair_table(a, n, total)
+    if channel == VACUUM:
+        d, o = diag / PHI, off / PHI
+    else:
+        d, o = 1 - diag / PHI, -off / PHI
+    return _act((partner, d, o), amp.copy())
 
 
 def _pair_vacuum_probability(n: int, total: int, amp: np.ndarray, a: int) -> float:

@@ -1,26 +1,26 @@
 """Reference anyon unitaries and Hadamard test, dense and independent of
-the action table in knotqc.anyon.
+the Temperley-Lieb action table in knotqc.anyon.
 
-Each generator is written out as a dense matrix by the flank/mid case
-analysis on fusion paths, a braid's unitary is the product of its letter
-matrices, and the Hadamard-test probabilities come from simulating the
-ancilla circuit on a 2*dim state, so tests can compare the sparse
-gathers and the closed-form probabilities against them.
+Each generator is written out as a dense matrix from the anyon data (the
+braiding eigenphases R and the golden-ratio F matrix) by the flank/mid
+case analysis on fusion paths, a braid's unitary is the product of its
+letter matrices, and the Hadamard-test probabilities come from
+simulating the ancilla circuit on a 2*dim state, so tests can compare
+the sparse gathers and the closed-form probabilities against them.
 
 frozen_jones_estimate keeps the estimator's sampling loop as it was when
 each path index came from rng.randrange, so tests can check that the
 inline draw reads the same random stream.
 """
 
+import cmath
 import math
 import random
 
 import numpy as np
 
 from knotqc.anyon import (
-    F_MATRIX,
-    POSITIVE_ACTS_CONJUGATED,
-    R_PHASES,
+    PHI,
     TAU,
     VACUUM,
     _braid_matrix,
@@ -31,6 +31,20 @@ from knotqc.anyon import (
     sample_count,
     trace_normalization,
 )
+
+# Braiding eigenphases of a neighbouring pair, by fusion channel.
+R_PHASES = (cmath.exp(-4j * math.pi / 5), cmath.exp(3j * math.pi / 5))
+
+# Basis change between the two fusion orders of three tau anyons;
+# real, symmetric, and self-inverse.
+F_MATRIX = np.array(
+    [[1 / PHI, PHI**-0.5], [PHI**-0.5, -1 / PHI]], dtype=float
+)
+
+# A positive braid letter acts by the conjugate transpose of the
+# R/F-built generator: the listed R phases are the opposite chirality
+# for the e^(2 pi i/5) target.
+POSITIVE_ACTS_CONJUGATED = True
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import oracle_anyon
+from oracle_anyon import R_PHASES
 from knotqc.anyon import (
     PHI,
-    R_PHASES,
+    A,
     TAU,
     VACUUM,
     AnyonState,
@@ -26,8 +27,11 @@ from knotqc.anyon import (
     sample_measurement,
     sigma_unitary,
     trace_normalization,
+    _act,
     _braid_matrix,
     _hadamard_zero_probs,
+    _pair_table,
+    _project_pair,
 )
 from knotqc.braid import BraidWord, random_braid
 from knotqc.errors import BudgetExceededError
@@ -111,6 +115,32 @@ def test_sigma_unitary_index_range():
         sigma_unitary(4, 4, VACUUM)
     with pytest.raises(ValueError):
         sigma_unitary(0, 4, VACUUM)
+    with pytest.raises(ValueError):
+        sigma_unitary(-1, 4, VACUUM)
+
+
+def test_temperley_lieb_relations():
+    # -A^2 - A^-2 is the loop value and A^-4 the Jones variable.
+    assert abs(-A**2 - A**-2 - PHI) < 1e-15
+    assert abs(A**-4 - T5) < 1e-15
+    for n in range(2, 9):
+        for total in (VACUUM, TAU):
+            dim = len(fusion_basis(n, total))
+            if dim == 0:
+                continue
+            e = {i: _act(_pair_table(i, n, total), np.eye(dim)) for i in range(1, n)}
+            for i in range(1, n):
+                assert np.max(np.abs(e[i] @ e[i] - PHI * e[i])) < 1e-12
+                # The pair's two fusion projectors are complementary.
+                vacuum = _project_pair(n, total, np.eye(dim), i, VACUUM)
+                tau = _project_pair(n, total, np.eye(dim), i, TAU)
+                assert np.max(np.abs(vacuum + tau - np.eye(dim))) < 1e-12
+                assert np.max(np.abs(tau @ tau - tau)) < 1e-12
+                for j in (i - 1, i + 1):
+                    if j in e:
+                        assert np.max(np.abs(e[i] @ e[j] @ e[i] - e[i])) < 1e-12
+                for j in range(i + 2, n):
+                    assert np.max(np.abs(e[i] @ e[j] - e[j] @ e[i])) < 1e-12
 
 
 def test_init_state():
