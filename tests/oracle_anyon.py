@@ -1,6 +1,12 @@
 """Reference anyon unitaries and Hadamard test, dense and independent of
 the Temperley-Lieb action table in knotqc.anyon.
 
+fusion_basis and pair_table are the tuple enumeration of fusion paths
+and the per-path loop that built E_a's (partner, diag, off) table before
+paths became integer codes, bodies unchanged, so tests can check the
+code-based table against them; dense_sigma and dense_braid_matrix run
+on this enumeration too.
+
 Each generator is written out as a dense matrix from the anyon data (the
 braiding eigenphases R and the golden-ratio F matrix) by the flank/mid
 case analysis on fusion paths, a braid's unitary is the product of its
@@ -16,17 +22,18 @@ inline draw reads the same random stream.
 import cmath
 import math
 import random
+from functools import lru_cache
 
 import numpy as np
 
 from knotqc.anyon import (
+    MAX_ANYONS,
     PHI,
     TAU,
     VACUUM,
     _braid_matrix,
     _dense_sectors,
     _hadamard_zero_probs,
-    fusion_basis,
     quantum_dimension,
     sample_count,
     trace_normalization,
@@ -49,10 +56,57 @@ POSITIVE_ACTS_CONJUGATED = True
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 
+@lru_cache(maxsize=None)
+def fusion_basis(n: int, total: int) -> tuple[tuple[int, ...], ...]:
+    """All admissible charge paths for n anyons ending at the given total."""
+    if n < 0:
+        raise ValueError("anyon count cannot be negative")
+    if n > MAX_ANYONS:
+        raise ValueError(f"path enumeration is limited to {MAX_ANYONS} anyons")
+    paths = [(VACUUM,)]
+    for _ in range(n):
+        grown = []
+        for p in paths:
+            if p[-1] == VACUUM:
+                grown.append(p + (TAU,))
+            else:
+                grown.append(p + (VACUUM,))
+                grown.append(p + (TAU,))
+        paths = grown
+    return tuple(sorted(p for p in paths if p[-1] == total))
+
+
+@lru_cache(maxsize=None)
+def basis_index(n: int, total: int) -> dict[tuple[int, ...], int]:
+    return {p: k for k, p in enumerate(fusion_basis(n, total))}
+
+
+def pair_table(a: int, n: int, total: int):
+    """The Temperley-Lieb generator E_a as (partner, diag, off): E_a x is
+    diag*x + off*x[partner]."""
+    if not 1 <= a <= n - 1:
+        raise ValueError(f"exchange index {a} out of range for {n} anyons")
+    basis = fusion_basis(n, total)
+    index = basis_index(n, total)
+    partner = np.arange(len(basis))
+    diag = np.zeros(len(basis))
+    off = np.zeros(len(basis))
+    for p, path in enumerate(basis):
+        flank, mid = path[a - 1], path[a]
+        if flank != path[a + 1]:
+            continue
+        d_flank, d_mid = quantum_dimension(flank), quantum_dimension(mid)
+        diag[p] = d_mid / d_flank
+        if flank == TAU:
+            partner[p] = index[path[:a] + (1 - mid,) + path[a + 1 :]]
+            off[p] = math.sqrt(d_mid * quantum_dimension(1 - mid)) / d_flank
+    return partner, diag, off
+
+
 def dense_sigma(i: int, n: int, total: int) -> np.ndarray:
     """Dense matrix of the exchange of anyons i and i+1 on the fusion-path basis."""
     basis = fusion_basis(n, total)
-    index = {p: k for k, p in enumerate(basis)}
+    index = basis_index(n, total)
     dim = len(basis)
     block = F_MATRIX @ np.diag(R_PHASES) @ F_MATRIX
     u = np.zeros((dim, dim), dtype=complex)

@@ -6,9 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import knotqc.anyon
 import oracle_anyon
 from oracle_anyon import R_PHASES
 from knotqc.anyon import (
+    MAX_ANYONS,
     PHI,
     A,
     TAU,
@@ -55,6 +57,21 @@ def test_fusion_basis_fibonacci_recurrence():
     for n in range(2, 17):
         assert dims[n] == dims[n - 1] + dims[n - 2]
     assert dims[:6] == [1, 1, 2, 3, 5, 8]
+
+
+def test_fusion_basis_and_pair_tables_match_frozen_oracle():
+    for n in range(17):
+        for total in (VACUUM, TAU):
+            assert fusion_basis(n, total) == oracle_anyon.fusion_basis(n, total)
+            for a in range(1, n):
+                got = _pair_table(a, n, total)
+                want = oracle_anyon.pair_table(a, n, total)
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w)
+                    assert not g.flags.writeable
+    for n in (-1, MAX_ANYONS + 1):
+        with pytest.raises(ValueError):
+            fusion_basis(n, VACUUM)
 
 
 def test_fusion_paths_admissible():
@@ -160,6 +177,18 @@ def test_state_validation():
         AnyonState(4, VACUUM, np.array([1.0, 1.0], dtype=complex))
     with pytest.raises(ValueError):
         AnyonState(4, VACUUM, np.array([1.0], dtype=complex))
+
+
+def test_state_keeps_a_complex_copy_of_real_amplitudes():
+    real = np.array([0.6, 0.8])
+    state = AnyonState(4, VACUUM, real)
+    b = BraidWord(4, (2, -1, 3, 2))
+    got = apply_braid(state, b)
+    want = apply_braid(AnyonState(4, VACUUM, real.astype(complex)), b)
+    assert np.array_equal(got.amplitudes, want.amplitudes)
+    assert real.flags.writeable
+    real[0] = 0.0
+    assert state.amplitudes[0] == 0.6
 
 
 def test_apply_braid_identity_and_inverse():
@@ -519,6 +548,27 @@ def test_measurement_on_twenty_anyons_builds_no_dense_matrix():
     assert abs(state.norm() - 1) < 1e-12
     assert abs(p_all_zero - 1.0) < 1e-12
     assert bits == "00000"
+
+
+def test_every_letter_on_twenty_anyons_retains_little_memory():
+    # Memory the caches keep after one braid that uses every letter of both
+    # signs on 20 anyons, from cold caches: the per-pair tables, 19 of
+    # them on the 4,181 vacuum-sector paths, and nothing per letter.
+    for cache in vars(knotqc.anyon).values():
+        if hasattr(cache, "cache_info"):
+            cache.cache_clear()
+    letters = tuple(s * i for i in range(1, 20) for s in (1, -1))
+    b = BraidWord(20, letters)
+    tracemalloc.start()
+    try:
+        state = apply_braid(init_state(5), b)
+        p_all_zero = prob_all_zero(b, QubitLayout.default(5))
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 4 * 2**20
+    assert abs(state.norm() - 1) < 1e-12
+    assert -1e-12 <= p_all_zero <= 1 + 1e-12
 
 
 def test_dense_unitaries_refused_past_byte_budget():
