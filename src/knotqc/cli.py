@@ -18,7 +18,7 @@ import sys
 import time
 
 from .anyon import jones_estimate
-from .braid import BraidWord, parse_braid
+from .braid import BraidWord, _cycle_count, parse_braid
 from .burau import burau_numeric, burau_symbolic
 from .diagram import (
     closure_to_diagram,
@@ -237,6 +237,27 @@ def _reduced_words(alphabet: list[int], length: int):
                 yield prefix + (e,)
 
 
+def _knot_words(n: int, length: int):
+    """The words of `_reduced_words` of one length on n strands whose closure
+    is a knot, in the same order. A closure is a knot when the strand order
+    the word ends in is one n-cycle. The order of each prefix is computed
+    once and shared by its extensions, so a rejected word costs one swap
+    and no BraidWord."""
+    if length == 0:
+        return  # the empty word closes to an unlink of n >= 2 components
+    alphabet = [e for i in range(1, n) for e in (i, -i)]
+    for prefix in _reduced_words(alphabet, length - 1):
+        at = BraidWord(n, prefix)._strand_at()
+        last = prefix[-1] if prefix else 0
+        for e in alphabet:
+            if e != -last:
+                i = abs(e) - 1
+                order = at.copy()
+                order[i], order[i + 1] = order[i + 1], order[i]
+                if _cycle_count(order) == 1:
+                    yield prefix + (e,)
+
+
 def cmd_table(args) -> int:
     n, maxlen = args.strands, args.maxlen
     if n < 2:
@@ -254,31 +275,32 @@ def cmd_table(args) -> int:
             f"budget allows {_TABLE_MAX_WORDS}"
         )
     budget = _default_budget(args)
-    alphabet = [e for i in range(1, n) for e in (i, -i)]
     memo: dict = {}
+    jones: dict = {}
     groups: dict[str, list[str]] = {}
     # A word that is not freely reduced has the key of its free reduction,
     # a shorter word met at an earlier length, so only reduced words are
-    # enumerated. Their keys are their least cyclic shifts (which start at a
-    # least letter) and have their length, so keys never recur across
-    # lengths.
-    for length in range(maxlen + 1):
+    # enumerated; the budget above counts all of them. A knot's strand
+    # order is an n-cycle, of sign (-1)^(n-1), and a word of length L has
+    # sign (-1)^L, so only lengths of the parity of n - 1 can hold a knot.
+    # Rotation keeps the closure, so the knot test comes before the key and
+    # only knot words are keyed. Keys are least cyclic shifts (which start
+    # at a least letter) and have their word's length, so they never recur
+    # across lengths. Each distinct HOMFLY value is specialized to Jones
+    # once per request.
+    for length in range((n - 1) % 2, maxlen + 1, 2):
         seen: set[tuple[int, ...]] = set()
-        for letters in _reduced_words(alphabet, length):
-            low = min(letters, default=0)
-            key = min(
-                (letters[k:] + letters[:k] for k, e in enumerate(letters) if e == low),
-                default=(),
-            )
+        for letters in _knot_words(n, length):
+            low = min(letters)
+            key = min(letters[k:] + letters[:k] for k, e in enumerate(letters) if e == low)
             if key in seen:
                 continue
             seen.add(key)
             word = BraidWord(n, letters)
-            if word.closure_components() == 1:
-                poly = specialize_jones(
-                    skein.homfly(closure_to_diagram(word), budget, memo)
-                ).to_text("s")
-                groups.setdefault(poly, []).append(word.to_text())
+            value = skein.homfly(closure_to_diagram(word), budget, memo)
+            if value not in jones:
+                jones[value] = specialize_jones(value).to_text("s")
+            groups.setdefault(jones[value], []).append(word.to_text())
     print(f"strands={n}")
     print(f"maxlen={maxlen}")
     print(f"groups={len(groups)}")

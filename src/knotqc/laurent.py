@@ -13,6 +13,9 @@ highest exponent first; two-variable polynomials print in ascending
 
 from __future__ import annotations
 
+import functools
+import math
+
 from .errors import ParseError
 
 
@@ -309,25 +312,31 @@ def exact_div(num: LaurentPoly1, den: LaurentPoly1) -> LaurentPoly1:
     return LaurentPoly1(quot).shift(nv - dv)
 
 
-# z -> s - s^-1 under the Jones substitution.
-_S_MINUS_SINV = LaurentPoly1({1: 1, -1: -1})
+@functools.lru_cache(maxsize=64)
+def _z_power(m: int) -> tuple[tuple[int, int], ...]:
+    """(s - s^-1)^m, the image of z^m under the Jones substitution, as
+    (exponent, coefficient) pairs: sum over k of C(m, k) (-1)^k s^(m - 2k)."""
+    return tuple((m - 2 * k, (-1) ** k * math.comb(m, k)) for k in range(m + 1))
 
 
 def specialize_jones(p: LaurentPoly2) -> LaurentPoly1:
     """Substitute a -> s^-2, z -> s - s^-1 (i.e. a -> t^-1, z -> t^1/2 - t^-1/2).
 
-    Negative z-exponents are cleared by one exact division at the end;
-    for invariant values of links the division always succeeds.
+    Each term expands by the binomial theorem. Negative z-exponents are
+    cleared by one exact division at the end; for invariant values of
+    links the division always succeeds.
     """
     if not p:
         return LaurentPoly1.zero()
     shift = min(0, min(j for (_, j) in p.terms))
-    num = LaurentPoly1.zero()
+    terms: dict[int, int] = {}
     for (i, j), c in p.terms.items():
-        num = num + LaurentPoly1.monomial(c, -2 * i) * _S_MINUS_SINV ** (j - shift)
+        for e, b in _z_power(j - shift):
+            terms[e - 2 * i] = terms.get(e - 2 * i, 0) + c * b
+    num = LaurentPoly1(terms)
     if shift == 0:
         return num
-    return exact_div(num, _S_MINUS_SINV ** (-shift))
+    return exact_div(num, LaurentPoly1(dict(_z_power(-shift))))
 
 
 coeff_z = LaurentPoly2.coeff_z

@@ -4,7 +4,8 @@ import tracemalloc
 
 import pytest
 
-from knotqc import cli
+from knotqc import cli, skein
+from knotqc.braid import BraidWord
 from knotqc.cli import _reduced_words, _table_word_count, main
 from knotqc.errors import ParseError
 from knotqc.report import InvariantReport
@@ -369,6 +370,46 @@ def test_table_matches_all_words_oracle(capsys, strands, maxlen):
     )
     assert code == 0
     assert out == oracle_table(strands, maxlen)
+
+
+# Lengths of the parity of n are skipped: the whole request at (4, 6) and
+# (4, 0), the last length at (3, 1) and the empty word at (2, 1).
+@pytest.mark.parametrize("strands,maxlen", [(4, 6), (4, 0), (3, 1), (2, 1)])
+def test_table_matches_oracle_where_lengths_are_skipped(capsys, strands, maxlen):
+    code, out, _ = run(
+        capsys, "table", "--strands", str(strands), "--maxlen", str(maxlen)
+    )
+    assert code == 0
+    assert out == oracle_table(strands, maxlen)
+
+
+def test_table_does_only_the_work_a_knot_can_need(capsys, monkeypatch):
+    for n in (2, 3, 4):
+        alphabet = [e for i in range(1, n) for e in (i, -i)]
+        for length in range(n % 2, 7, 2):
+            for letters in _reduced_words(alphabet, length):
+                assert BraidWord(n, letters).closure_components() > 1
+    evaluated, specialized = [], []
+    homfly, specialize = skein.homfly, cli.specialize_jones
+
+    def counting_homfly(*args):
+        evaluated.append(homfly(*args))
+        return evaluated[-1]
+
+    def counting_specialize(p):
+        specialized.append(p)
+        return specialize(p)
+
+    monkeypatch.setattr(skein, "homfly", counting_homfly)
+    monkeypatch.setattr(cli, "specialize_jones", counting_specialize)
+    counts = {}
+    for n, maxlen in ((4, 5), (4, 6), (3, 6)):
+        evaluated.clear()
+        specialized.clear()
+        assert run(capsys, "table", "--strands", str(n), "--maxlen", str(maxlen))[0] == 0
+        assert len(specialized) == len(set(specialized)) == len(set(evaluated))
+        counts[n, maxlen] = (len(evaluated), len(specialized))
+    assert counts == {(4, 5): (480, 4), (4, 6): (480, 4), (3, 6): (290, 14)}
 
 
 def test_table_word_count_is_exact():

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from knotqc import skein
+from knotqc.braid import random_braid
 from knotqc.errors import ParseError
 from knotqc.laurent import (
     LaurentPoly1,
@@ -10,6 +12,8 @@ from knotqc.laurent import (
     exact_div,
     specialize_jones,
 )
+
+import oracle_laurent
 
 S_MINUS_SINV = LaurentPoly1({1: 1, -1: -1})
 
@@ -124,6 +128,46 @@ def test_specialize_multiplicative():
         p = random_poly2(rng, z_min=0)
         q = random_poly2(rng, z_min=0)
         assert specialize_jones(p * q) == specialize_jones(p) * specialize_jones(q)
+
+
+def test_specialize_matches_frozen_oracle():
+    rng = random.Random(15)
+    memo: dict = {}
+    while len(memo) < 1000:
+        b = random_braid(rng.randrange(2, 5), rng.randrange(0, 9), rng.randrange(10**9))
+        skein.homfly_braid(b, None, memo)
+    values = list(memo.values())
+    # Link values carry negative z-exponents, the delta^k of split pieces.
+    assert sum(min(j for _, j in v.terms) < 0 for v in values) > 500
+    delta = LaurentPoly2({(1, -1): 1, (-1, -1): -1})
+    for k in range(8):
+        p = random_poly2(rng, z_min=0)
+        values += [p, p * delta**k, -(delta**k), LaurentPoly2({(k, -k): 1}) * p]
+    for p in values:
+        try:
+            want = oracle_laurent.specialize_jones(p)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=str(e)):
+                specialize_jones(p)
+        else:
+            got = specialize_jones(p)
+            assert got == want and got.to_text("s") == want.to_text("s")
+
+
+def test_specialize_refuses_inexact_division_like_oracle():
+    rng = random.Random(4)
+    refused = 0
+    for _ in range(200):
+        p = random_poly2(rng, z_min=-3)
+        try:
+            want = oracle_laurent.specialize_jones(p)
+        except ValueError as e:
+            refused += 1
+            with pytest.raises(ValueError, match=str(e)):
+                specialize_jones(p)
+        else:
+            assert specialize_jones(p) == want
+    assert refused > 50
 
 
 def test_coeff_z_examples():
