@@ -17,7 +17,7 @@ Each sector's paths are kept one way only, as a sorted array of integer
 codes (one bit per label), and E_i is read off them as each path's
 partner and two weights, so a letter or a projection is an O(dim)
 gather; only the trace and the estimator build a dense sector unitary,
-under MAX_UNITARY_BYTES.
+under MAX_UNITARY_BYTES, per call, and keep only its diagonal.
 
 The weighted trace of a braid's unitary, normalized by the writhe phase
 A^-3 and the loop weight -phi per strand, equals the Jones evaluation
@@ -95,7 +95,6 @@ def _dense_sectors(n: int) -> list[tuple[int, int]]:
     return [(total, dim) for total, dim in ((VACUUM, vacuum), (TAU, tau)) if dim]
 
 
-# One entry per (n, total); total arrives unchecked, hence a maxsize.
 @lru_cache(maxsize=2 * (MAX_ANYONS + 1))
 def _codes(n: int, total: int) -> np.ndarray:
     """The admissible paths of n anyons ending at total, as sorted codes:
@@ -105,6 +104,8 @@ def _codes(n: int, total: int) -> np.ndarray:
         raise ValueError("anyon count cannot be negative")
     if n > MAX_ANYONS:
         raise ValueError(f"path enumeration is limited to {MAX_ANYONS} anyons")
+    if total not in (VACUUM, TAU):
+        raise ValueError(f"total charge must be VACUUM (0) or TAU (1), not {total!r}")
     codes = np.zeros(1, dtype=np.int64)
     for _ in range(n):
         codes = np.concatenate((codes << 1 | TAU, codes[codes & 1 == TAU] << 1 | VACUUM))
@@ -149,14 +150,6 @@ def _pair_table(a: int, n: int, total: int):
     return partner, diag, off
 
 
-def _letter_action(e: int, n: int, total: int):
-    """Letter e acts by B + B^-1 E_|e|, with B = A for e > 0 and A^-1 for
-    e < 0; derived from _pair_table on each use."""
-    b, b_inv = (A, 1 / A) if e > 0 else (1 / A, A)
-    partner, diag, off = _pair_table(abs(e), n, total)
-    return partner, b + b_inv * diag, b_inv * off
-
-
 def _act(action, x: np.ndarray) -> np.ndarray:
     """x <- d*x + o*x[partner], in place, on a state or every column of a matrix."""
     partner, d, o = action
@@ -169,6 +162,19 @@ def _act(action, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _apply_letters(letters, n: int, total: int, x: np.ndarray) -> np.ndarray:
+    """Push the letters through x in place, first letter first: x is a
+    state, or a block whose every column is one. Letter e acts by
+    B + B^-1 E_|e|, with B = A for e > 0 and A^-1 for e < 0; its weights
+    are derived from _pair_table as it is applied and dropped after, so
+    a state on many anyons never holds every letter's weights at once."""
+    for e in letters:
+        b, b_inv = (A, 1 / A) if e > 0 else (1 / A, A)
+        partner, diag, off = _pair_table(abs(e), n, total)
+        _act((partner, b + b_inv * diag, b_inv * off), x)
+    return x
+
+
 def sigma_unitary(i: int, n: int, total: int) -> np.ndarray:
     """Dense matrix of letter -i, A^-1 + A E_i, on the fusion-path basis:
     the exchange of anyons i and i+1 with braiding phase e^(-4 pi i/5) on
@@ -177,21 +183,19 @@ def sigma_unitary(i: int, n: int, total: int) -> np.ndarray:
     if i < 1:
         raise ValueError(f"exchange index {i} out of range for {n} anyons")
     _dense_sectors(n)  # refuses past MAX_UNITARY_BYTES
-    u = np.eye(len(_codes(n, total)), dtype=complex)
-    return _act(_letter_action(-i, n, total), u)
+    return _apply_letters((-i,), n, total, np.eye(len(_codes(n, total)), dtype=complex))
 
 
-# Each entry is a dense sector unitary; two hold both sectors of the last
-# braid, so repeating a trace or an estimate of one braid still hits.
-@lru_cache(maxsize=2)
-def _braid_matrix(letters: tuple[int, ...], n: int, total: int) -> np.ndarray:
-    """The braid's unitary on one sector: its letters pushed through the identity."""
-    m = np.eye(len(_codes(n, total)), dtype=complex)
-    actions = {e: _letter_action(e, n, total) for e in set(letters)}
-    for e in letters:
-        _act(actions[e], m)
-    m.setflags(write=False)
-    return m
+def _braid_diagonals(b: BraidWord) -> list[tuple[float, int, np.ndarray]]:
+    """(quantum dimension, dim, U_pp) for each sector: the diagonal of the
+    braid's unitary U there. Each U is its letters pushed through the
+    identity, built per call and dropped once its diagonal is copied."""
+    n = b.strands
+    return [
+        (quantum_dimension(total), dim,
+         _apply_letters(b.letters, n, total, np.eye(dim, dtype=complex)).diagonal().copy())
+        for total, dim in _dense_sectors(n)
+    ]
 
 
 @dataclass(frozen=True)
@@ -260,9 +264,7 @@ def apply_braid(state: AnyonState, b: BraidWord) -> AnyonState:
     """Evolve by the word's exchanges, first letter first."""
     if b.strands != state.n:
         raise ValueError(f"braid has {b.strands} strands, state has {state.n} anyons")
-    amp = state.amplitudes.copy()
-    for e in b.letters:
-        _act(_letter_action(e, state.n, state.total), amp)
+    amp = _apply_letters(b.letters, state.n, state.total, state.amplitudes.copy())
     return AnyonState(state.n, state.total, amp)
 
 
@@ -329,9 +331,8 @@ def markov_trace(b: BraidWord, k: int = 5) -> complex:
         raise ValueError("only the Fibonacci (k = 5) path model is implemented")
     num = 0j
     den = 0.0
-    for total, dim in _dense_sectors(b.strands):
-        w = quantum_dimension(total)
-        num += w * np.trace(_braid_matrix(b.letters, b.strands, total))
+    for w, dim, diag in _braid_diagonals(b):
+        num += w * diag.sum()
         den += w * dim
     return num / den
 
@@ -374,10 +375,9 @@ def sample_count(epsilon: float, delta: float) -> int:
     return math.ceil(SAMPLE_CONSTANT * math.log(2 / delta) / epsilon**2)
 
 
-def _hadamard_zero_probs(u: np.ndarray) -> tuple[list[float], list[float]]:
-    """P(ancilla reads 0) of the Hadamard test on each basis path p:
-    (1 + Re U_pp)/2, and with S-dagger on the ancilla (1 + Im U_pp)/2."""
-    diag = u.diagonal()
+def _hadamard_zero_probs(diag: np.ndarray) -> tuple[list[float], list[float]]:
+    """P(ancilla reads 0) of the Hadamard test on each basis path p, from U's
+    diagonal: (1 + Re U_pp)/2, and with S-dagger on the ancilla (1 + Im U_pp)/2."""
     return ((1 + diag.real) / 2).tolist(), ((1 + diag.imag) / 2).tolist()
 
 
@@ -401,10 +401,7 @@ def jones_estimate(
         )
     m = sample_count(epsilon, delta)
     n = b.strands
-    sectors = []
-    for total, dim in _dense_sectors(n):
-        p_re, p_im = _hadamard_zero_probs(_braid_matrix(b.letters, n, total))
-        sectors.append((quantum_dimension(total) * dim, p_re, p_im))
+    sectors = [(w * dim, *_hadamard_zero_probs(d)) for w, dim, d in _braid_diagonals(b)]
     weight_sum = sum(w for w, _, _ in sectors)
     first_weight = sectors[0][0]
     rng = random.Random(seed)

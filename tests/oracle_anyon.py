@@ -16,7 +16,10 @@ the sparse gathers and the closed-form probabilities against them.
 
 frozen_jones_estimate keeps the estimator's sampling loop as it was when
 each path index came from rng.randrange, so tests can check that the
-inline draw reads the same random stream.
+inline draw reads the same random stream. It reads each sector's whole
+unitary through _braid_matrix, _letter_action and _hadamard_zero_probs,
+the simulator's functions from before it kept only the diagonal, bodies
+unchanged (without _braid_matrix's cache).
 """
 
 import cmath
@@ -31,9 +34,11 @@ from knotqc.anyon import (
     PHI,
     TAU,
     VACUUM,
-    _braid_matrix,
+    A,
+    _act,
+    _codes,
     _dense_sectors,
-    _hadamard_zero_probs,
+    _pair_table,
     quantum_dimension,
     sample_count,
     trace_normalization,
@@ -151,6 +156,31 @@ def hadamard_test_probs(m: np.ndarray, p_idx: int) -> tuple[float, float]:
     s_dag = np.kron(np.diag([1, -1j]), np.eye(dim))
     p_im = float(np.linalg.norm((h @ (s_dag @ mid))[:dim]) ** 2)
     return p_re, p_im
+
+
+def _letter_action(e: int, n: int, total: int):
+    """Letter e acts by B + B^-1 E_|e|, with B = A for e > 0 and A^-1 for
+    e < 0; derived from _pair_table on each use."""
+    b, b_inv = (A, 1 / A) if e > 0 else (1 / A, A)
+    partner, diag, off = _pair_table(abs(e), n, total)
+    return partner, b + b_inv * diag, b_inv * off
+
+
+def _braid_matrix(letters: tuple[int, ...], n: int, total: int) -> np.ndarray:
+    """The braid's unitary on one sector: its letters pushed through the identity."""
+    m = np.eye(len(_codes(n, total)), dtype=complex)
+    actions = {e: _letter_action(e, n, total) for e in set(letters)}
+    for e in letters:
+        _act(actions[e], m)
+    m.setflags(write=False)
+    return m
+
+
+def _hadamard_zero_probs(u: np.ndarray) -> tuple[list[float], list[float]]:
+    """P(ancilla reads 0) of the Hadamard test on each basis path p:
+    (1 + Re U_pp)/2, and with S-dagger on the ancilla (1 + Im U_pp)/2."""
+    diag = u.diagonal()
+    return ((1 + diag.real) / 2).tolist(), ((1 + diag.imag) / 2).tolist()
 
 
 def frozen_jones_estimate(b, epsilon: float, delta: float, seed: int):

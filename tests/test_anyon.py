@@ -30,7 +30,8 @@ from knotqc.anyon import (
     sigma_unitary,
     trace_normalization,
     _act,
-    _braid_matrix,
+    _apply_letters,
+    _braid_diagonals,
     _hadamard_zero_probs,
     _pair_table,
     _project_pair,
@@ -177,6 +178,17 @@ def test_state_validation():
         AnyonState(4, VACUUM, np.array([1.0, 1.0], dtype=complex))
     with pytest.raises(ValueError):
         AnyonState(4, VACUUM, np.array([1.0], dtype=complex))
+
+
+def test_totals_other_than_vacuum_and_tau_are_refused():
+    # A total charge is a label, 0 or 1. Any other value has no paths, and
+    # is refused by name rather than failing later as a norm error.
+    with pytest.raises(ValueError, match="total charge .* not 5"):
+        fusion_basis(3, 5)
+    with pytest.raises(ValueError, match="total charge .* not 2"):
+        AnyonState(3, 2, np.zeros(0))
+    with pytest.raises(ValueError, match="total charge .* not -1"):
+        sigma_unitary(1, 3, -1)
 
 
 def test_state_keeps_a_complex_copy_of_real_amplitudes():
@@ -442,12 +454,19 @@ def test_braid_matrix_matches_dense_oracle():
     for _ in range(240):
         n = rng.randrange(2, 11)
         b = random_braid(n, rng.randrange(0, 16), rng.randrange(10**9))
+        diagonals = []
         for total in (VACUUM, TAU):
             if not fusion_basis(n, total):
                 continue
-            got = _braid_matrix(b.letters, n, total)
+            eye = np.eye(len(fusion_basis(n, total)), dtype=complex)
+            got = _apply_letters(b.letters, n, total, eye)
             want = oracle_anyon.dense_braid_matrix(b.letters, n, total)
             assert np.max(np.abs(got - want), initial=0.0) < 1e-12
+            diagonals.append(got.diagonal())
+        # The trace and the estimator keep exactly these diagonals.
+        kept = [diag for _, _, diag in _braid_diagonals(b)]
+        assert len(kept) == len(diagonals)
+        assert all(np.array_equal(k, d) for k, d in zip(kept, diagonals))
         braids += 1
     assert braids >= 200
     for n in range(2, 11):
@@ -466,8 +485,9 @@ def test_closed_form_hadamard_probabilities_match_circuit():
         for total in (VACUUM, TAU):
             if not fusion_basis(n, total):
                 continue
-            u = _braid_matrix(b.letters, n, total)
-            p_re, p_im = _hadamard_zero_probs(u)
+            eye = np.eye(len(fusion_basis(n, total)), dtype=complex)
+            u = _apply_letters(b.letters, n, total, eye)
+            p_re, p_im = _hadamard_zero_probs(u.diagonal())
             for p in range(u.shape[0]):
                 want = oracle_anyon.hadamard_test_probs(u, p)
                 assert abs(p_re[p] - want[0]) < 1e-12
@@ -569,6 +589,24 @@ def test_every_letter_on_twenty_anyons_retains_little_memory():
     assert retained < 4 * 2**20
     assert abs(state.norm() - 1) < 1e-12
     assert -1e-12 <= p_all_zero <= 1 + 1e-12
+
+
+def test_trace_and_estimate_keep_no_braid_unitary():
+    # From cold caches, what stays after a trace and an estimate on 18
+    # anyons is the codes and the three letters' tables, not the 2,584-
+    # and 1,597-path sector unitaries (141 MiB together).
+    for cache in vars(knotqc.anyon).values():
+        if hasattr(cache, "cache_info"):
+            cache.cache_clear()
+    b = BraidWord(18, (1, -5, 17))
+    tracemalloc.start()
+    try:
+        markov_trace(b)
+        jones_estimate(b, 0.5, 0.5, 0)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 8 * 2**20
 
 
 def test_dense_unitaries_refused_past_byte_budget():
