@@ -57,9 +57,10 @@ TRACE_LOOP_WEIGHT = -PHI
 # A path of n anyons is an (n+1)-bit code; 24 anyons is about 75k paths.
 MAX_ANYONS = 24
 
-# Byte budget of one dense complex unitary on a sector, checked from the
+# Byte budget of one dense complex unitary on a sector plus the same-size
+# x[partner] gather _act allocates for each letter, checked from the
 # sector dimension before anything is built: markov_trace, jones_estimate
-# and sigma_unitary refuse past it (up to 18 anyons fit at 256 MB).
+# and sigma_unitary refuse past it (up to 18 anyons fit at 256 MiB).
 MAX_UNITARY_BYTES = 256 * 2**20
 
 # Hoeffding constant: m = ceil(8 ln(2/delta) / eps^2) samples for each
@@ -79,18 +80,19 @@ def quantum_dimension(charge: int) -> float:
 
 def _dense_sectors(n: int) -> list[tuple[int, int]]:
     """(total, dim) of each nonempty sector of n anyons, refused with
-    BudgetExceededError when a dense unitary on one would not fit. The
-    dimensions are Fibonacci numbers, so no path is enumerated first."""
+    BudgetExceededError when a dense unitary on one and the gather that
+    builds it would not fit. The dimensions are Fibonacci numbers, so no
+    path is enumerated first."""
     vacuum, tau = 1, 0
     for _ in range(n):
         vacuum, tau = tau, vacuum + tau
         # Stop at the first count past the budget: the dimensions grow
         # exponentially, and so would the loop's ints and the message.
-        nbytes = max(vacuum, tau) ** 2 * np.dtype(complex).itemsize
+        nbytes = 2 * max(vacuum, tau) ** 2 * np.dtype(complex).itemsize
         if nbytes > MAX_UNITARY_BYTES:
             raise BudgetExceededError(
-                f"a dense unitary on {n} anyons needs at least {nbytes} bytes, "
-                f"budget allows {MAX_UNITARY_BYTES}"
+                f"a dense unitary on {n} anyons and its x[partner] gather need "
+                f"at least {nbytes} bytes, budget allows {MAX_UNITARY_BYTES}"
             )
     return [(total, dim) for total, dim in ((VACUUM, vacuum), (TAU, tau)) if dim]
 

@@ -21,7 +21,6 @@ from .anyon import jones_estimate
 from .braid import BraidWord, _cycle_count, parse_braid
 from .burau import burau_numeric, burau_symbolic
 from .diagram import (
-    closure_to_diagram,
     diagram_from_gauss,
     euler_characteristic,
     parse_gauss,
@@ -73,8 +72,8 @@ def _default_budget(args) -> SkeinBudget:
 
 
 def _input_source(args):
-    """(kind, text, source) from --braid/--gauss flags: a BraidWord, whose
-    closure skein.as_diagram builds once the budget allows, or a diagram."""
+    """(kind, text, source) from --braid/--gauss flags: a BraidWord or a
+    diagram, either of which the skein engine takes as it is."""
     braid = _resolve(args.braid)
     gauss = _resolve(getattr(args, "gauss", None))
     if (braid is None) == (gauss is None):
@@ -121,7 +120,7 @@ def cmd_invariant(args) -> int:
             if args.k is None:
                 raise ParseError("coeff needs --k")
             meta["k"] = str(args.k)
-        poly, stats = homfly_with_stats(skein.as_diagram(source, budget), budget)
+        poly, stats = homfly_with_stats(source, budget)
         meta["nodes"] = str(stats.nodes)
         if name == "homfly":
             value = poly.to_text()
@@ -297,7 +296,7 @@ def cmd_table(args) -> int:
                 continue
             seen.add(key)
             word = BraidWord(n, letters)
-            value = skein.homfly(closure_to_diagram(word), budget, memo)
+            value = skein.homfly(word, budget, memo)
             if value not in jones:
                 jones[value] = specialize_jones(value).to_text("s")
             groups.setdefault(jones[value], []).append(word.to_text())
@@ -318,13 +317,12 @@ def cmd_bench(args) -> int:
     rows = 0
     for c in range(2, args.max_crossings + 1):
         word = BraidWord(2, (1,) * c)
-        diagram = closure_to_diagram(word)
         t0 = time.perf_counter()
-        _, memo_stats = homfly_with_stats(diagram, budget)
+        _, memo_stats = homfly_with_stats(word, budget)
         memo_ms = (time.perf_counter() - t0) * 1000.0
         plain_budget = dataclasses.replace(budget, memo_enabled=False)
         t0 = time.perf_counter()
-        _, plain_stats = homfly_with_stats(diagram, plain_budget)
+        _, plain_stats = homfly_with_stats(word, plain_budget)
         plain_ms = (time.perf_counter() - t0) * 1000.0
         print(
             f"row c={c} memo_nodes={memo_stats.nodes} memo_ms={memo_ms:.3f} "

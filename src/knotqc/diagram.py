@@ -360,34 +360,29 @@ def _traverse(
 
 
 def closure_to_diagram(b: BraidWord) -> PDDiagram:
-    """Close a braid: one crossing per letter, strand ends glued around."""
+    """Close a braid: one crossing per letter, strand ends glued around.
+
+    Letter j leaves on arcs n+1+2j and n+2+2j, so one pass over the letters
+    gives each strand's bottom arc; the strand starts on it, which glues
+    the closure as the crossings are built. An untouched strand keeps its
+    arc p+1 and is a free loop."""
     n = b.strands
     cur = list(range(1, n + 1))
-    records: list[tuple[int, int, int, int, int]] = []
-    next_arc = n + 1
-    for e in b.letters:
+    for j, e in enumerate(b.letters):
+        i = abs(e)
+        cur[i - 1], cur[i] = n + 1 + 2 * j, n + 2 + 2 * j
+    loops = sum(cur[p] == p + 1 for p in range(n))
+    crossings = []
+    for j, e in enumerate(b.letters):
         i = abs(e)
         left, right = cur[i - 1], cur[i]
-        out_left, out_right = next_arc, next_arc + 1
-        next_arc += 2
+        out_left, out_right = n + 1 + 2 * j, n + 2 + 2 * j
         if e > 0:
-            records.append((right, left, out_left, out_right, +1))
+            crossings.append(Crossing((right, left, out_left, out_right), +1))
         else:
-            records.append((left, out_left, out_right, right, -1))
+            crossings.append(Crossing((left, out_left, out_right, right), -1))
         cur[i - 1], cur[i] = out_left, out_right
-    loops = 0
-    rename: dict[int, int] = {}
-    for p in range(n):
-        top, bottom = p + 1, cur[p]
-        if top == bottom:
-            loops += 1
-        else:
-            rename[top] = bottom
-    crossings = tuple(
-        Crossing(tuple(rename.get(a, a) for a in (a0, a1, a2, a3)), s)
-        for (a0, a1, a2, a3, s) in records
-    )
-    return PDDiagram._derived(crossings, loops)
+    return PDDiagram._derived(tuple(crossings), loops)
 
 
 @dataclass(frozen=True)

@@ -118,13 +118,25 @@ def _check_size(crossings: int, free_loops: int, budget: SkeinBudget) -> None:
 
 
 def homfly_with_stats(
-    d: PDDiagram,
+    obj: BraidWord | PDDiagram,
     budget: SkeinBudget | None = None,
     memo: dict[str, LaurentPoly2] | None = None,
 ) -> tuple[LaurentPoly2, SkeinStats]:
-    """Like homfly, but also reports node and memo-hit counts."""
+    """The skein engine's one entry: the invariant of a diagram, or of the
+    closure of a braid's free reduction, with node and memo-hit counts.
+    A braid is sized before its closure is built: its letters plus its
+    untouched strands (the closure's free loops) against the budget."""
     budget = budget or SkeinBudget()
-    _check_size(len(d.crossings), d.free_loops, budget)
+    if isinstance(obj, BraidWord):
+        b = obj.free_reduce()
+        touched = {abs(e) + k for e in b.letters for k in (0, 1)}
+        _check_size(len(b.letters), b.strands - len(touched), budget)
+        d = closure_to_diagram(b)
+    elif isinstance(obj, PDDiagram):
+        _check_size(len(obj.crossings), obj.free_loops, budget)
+        d = obj
+    else:
+        raise TypeError(f"expected a braid word or diagram, got {type(obj).__name__}")
     if memo is None and budget.memo_enabled:
         memo = {}
     if not budget.memo_enabled:
@@ -134,12 +146,12 @@ def homfly_with_stats(
 
 
 def homfly(
-    d: PDDiagram,
+    obj: BraidWord | PDDiagram,
     budget: SkeinBudget | None = None,
     memo: dict[str, LaurentPoly2] | None = None,
 ) -> LaurentPoly2:
-    """Exact two-variable invariant of the link the diagram presents."""
-    return homfly_with_stats(d, budget, memo)[0]
+    """Exact two-variable invariant of a diagram or a braid closure."""
+    return homfly_with_stats(obj, budget, memo)[0]
 
 
 def homfly_braid(
@@ -147,26 +159,12 @@ def homfly_braid(
     budget: SkeinBudget | None = None,
     memo: dict[str, LaurentPoly2] | None = None,
 ) -> LaurentPoly2:
-    return homfly(as_diagram(b, budget), budget, memo)
-
-
-def as_diagram(obj, budget: SkeinBudget | None = None) -> PDDiagram:
-    """A diagram as is, or the closure of a braid's free reduction, refused
-    before it is built if its letters plus untouched strands (its free
-    loops) exceed the crossing budget."""
-    if isinstance(obj, BraidWord):
-        b = obj.free_reduce()
-        touched = {abs(e) + k for e in b.letters for k in (0, 1)}
-        _check_size(len(b.letters), b.strands - len(touched), budget or SkeinBudget())
-        return closure_to_diagram(b)
-    if isinstance(obj, PDDiagram):
-        return obj
-    raise TypeError(f"expected a braid word or diagram, got {type(obj).__name__}")
+    return homfly(b, budget, memo)
 
 
 def jones(obj, budget: SkeinBudget | None = None) -> LaurentPoly1:
     """One-variable specialization in s (s**2 = t), normalized to 1 on the unknot."""
-    return specialize_jones(homfly(as_diagram(obj, budget), budget))
+    return specialize_jones(homfly(obj, budget))
 
 
 def jones_at(obj, t: complex, budget: SkeinBudget | None = None) -> complex:
@@ -178,4 +176,4 @@ def jones_at(obj, t: complex, budget: SkeinBudget | None = None) -> complex:
 
 def homfly_coeff(obj, k: int, budget: SkeinBudget | None = None) -> LaurentPoly1:
     """The a-polynomial multiplying z**k in the two-variable invariant."""
-    return homfly(as_diagram(obj, budget), budget).coeff_z(k)
+    return homfly(obj, budget).coeff_z(k)

@@ -609,6 +609,14 @@ def test_trace_and_estimate_keep_no_braid_unitary():
     assert retained < 8 * 2**20
 
 
+def test_byte_budget_counts_the_gather(monkeypatch):
+    # 18 anyons: a 2584-dim tau unitary is 102 MiB, and its x[partner]
+    # gather as much again, so 150 MiB admits the unitary but not both.
+    monkeypatch.setattr(knotqc.anyon, "MAX_UNITARY_BYTES", 150 * 2**20)
+    with pytest.raises(BudgetExceededError, match="unitary .* gather"):
+        markov_trace(BraidWord(18, (1,)))
+
+
 def test_dense_unitaries_refused_past_byte_budget():
     for n in (19, 30):
         with pytest.raises(BudgetExceededError):

@@ -71,6 +71,14 @@ def test_invariant_from_gauss(capsys):
     assert InvariantReport.from_text(out).value == "-a^-4 + 2*a^-2 + a^-2*z^2"
 
 
+def test_burau_refuses_gauss_input(capsys):
+    code, out, err = run(
+        capsys, "invariant", "--gauss", "O1+U2+O3+U1+O2+U3+", "--invariant", "burau"
+    )
+    assert code == 1
+    assert out == "" and "burau needs a braid input" in err
+
+
 def test_invariant_unrealizable_gauss_rejected(capsys):
     code, _, err = run(
         capsys, "invariant", "--gauss", "O1+O2+U1+U2+", "--invariant", "homfly"
@@ -164,6 +172,17 @@ def test_estimate_check_and_reproducibility(capsys):
     rep2 = InvariantReport.from_text(out2)
     assert rep1.estimate == rep2.estimate
     assert rep1.metadata == rep2.metadata
+
+
+def test_estimate_check_skipped_past_node_budget(capsys):
+    code, out, _ = run(
+        capsys, "estimate", "--braid", " ".join(["1 2"] * 8),
+        "--epsilon", "0.5", "--delta", "0.5", "--check", "--budget", "10",
+    )
+    assert code == 0
+    report = InvariantReport.from_text(out)
+    assert report.metadata["check"] == "skipped (skein recursion exceeded 10 nodes)"
+    assert "exact" not in report.metadata
 
 
 def test_estimate_sample_monotonicity(capsys):

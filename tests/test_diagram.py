@@ -21,6 +21,7 @@ from knotqc.diagram import (
 from knotqc.errors import BudgetExceededError, ParseError
 from knotqc.skein import _cancel_bigons, homfly_with_stats
 
+import oracle_closure
 import oracle_traversal
 from oracle_canonical import frozen_key, oracle_key, pieces
 
@@ -53,6 +54,7 @@ def test_closure_counts_random():
         assert len(d.crossings) == len(b.letters)
         assert d.components() == b.closure_components()
         assert [c.sign for c in d.crossings] == [1 if e > 0 else -1 for e in b.letters]
+        assert (d.crossings, d.free_loops) == oracle_closure.closure(b)
 
 
 def test_switch_is_involution_and_local():

@@ -105,6 +105,20 @@ def test_eval_zero_rejected():
         LaurentPoly1({-1: 1}).evaluate(0)
     with pytest.raises(ValueError):
         LaurentPoly2({(1, 1): 1}).evaluate(0, 1)
+    with pytest.raises(ValueError):
+        LaurentPoly2({(1, 1): 1}).evaluate(1, 0)
+
+
+def test_two_variable_evaluation_matches_jones_specialization():
+    # P(a = s^-2, z = s - s^-1) is the one-variable value at s, on the
+    # HOMFLY of seeded closures and at generic points off the unit circle.
+    rng = random.Random(29)
+    for seed in range(40):
+        p = skein.homfly(random_braid(rng.randrange(2, 5), rng.randrange(0, 9), seed))
+        s = complex(rng.uniform(0.6, 1.4), rng.uniform(-0.8, 0.8))
+        got = p.evaluate(s**-2, s - 1 / s)
+        want = specialize_jones(p).evaluate(s)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_specialize_trivial():

@@ -75,6 +75,23 @@ def test_jones_accepts_diagrams():
     assert jones(closure_to_diagram(TREFOIL_WORD)) == jones(TREFOIL_WORD)
 
 
+def test_engine_entry_takes_a_braid_or_its_closure():
+    # A braid and the closure of its free reduction give one value and
+    # the same node and memo-hit counts.
+    for word in (FIGURE_TWO, FIGURE_EIGHT, random_braid(4, 12, 3)):
+        assert homfly_with_stats(word) == homfly_with_stats(
+            closure_to_diagram(word.free_reduce())
+        )
+
+
+@pytest.mark.parametrize("obj", ["1 1 1", (1, 1, 1), None, TREFOIL])
+def test_engine_entry_refuses_other_inputs(obj):
+    for call in (homfly_with_stats, homfly, jones, lambda o: jones_at(o, 1j),
+                 lambda o: homfly_coeff(o, 0)):
+        with pytest.raises(TypeError, match="expected a braid word or diagram"):
+            call(obj)
+
+
 def test_jones_five_crossing_knots_match_tables():
     # closures of sigma_1^5 and of (1,-2,-1,-1,-1,-2): the two knots with
     # five crossings; published one-variable values (t = s^2)
@@ -227,6 +244,9 @@ def test_free_loops_count_against_crossing_budget():
     assert homfly_braid(BraidWord(4, (1, 1, 1)), budget) == TREFOIL * DELTA**2
     with pytest.raises(BudgetExceededError, match="3 crossings and 3 free loops"):
         homfly_braid(BraidWord(5, (1, 1, 1)), budget)
+    # A diagram is sized the same way, by its crossings and free loops.
+    with pytest.raises(BudgetExceededError, match="3 crossings and 3 free loops"):
+        homfly(closure_to_diagram(BraidWord(5, (1, 1, 1))), budget)
 
 
 def test_unmemoized_node_bound_on_torus_words():
