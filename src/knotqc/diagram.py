@@ -1,7 +1,8 @@
 """Planar diagrams, Gauss codes, and intersection-sequence realizability.
 
-A crossing stores its four incident arcs counterclockwise starting at
-the incoming under-strand, plus a sign. Signs follow the braid picture
+A diagram is its pass table; a crossing record, its text form, stores
+the four incident arcs counterclockwise starting at the incoming
+under-strand, plus a sign. Signs follow the braid picture
 (braid running downward): in a positive crossing the over-strand runs
 slot 1 -> slot 3, in a negative crossing slot 3 -> slot 1. Split
 unknotted circles (no crossings) are tracked by a free-loop count so
@@ -37,18 +38,6 @@ class Crossing:
         if self.sign not in (-1, 1):
             raise ValueError(f"crossing sign must be +-1, got {self.sign}")
 
-    def in_slots(self) -> tuple[int, int]:
-        return (0, 1) if self.sign > 0 else (0, 3)
-
-    def exit_slot(self, in_slot: int) -> int:
-        if in_slot == 0:
-            return 2
-        if self.sign > 0 and in_slot == 1:
-            return 3
-        if self.sign < 0 and in_slot == 3:
-            return 1
-        raise ValueError(f"slot {in_slot} is not an entry slot of this crossing")
-
     def reversed(self) -> "Crossing":
         # Orientation reversal keeps the plane orientation and the sign;
         # the outgoing under-arc becomes the incoming one.
@@ -56,61 +45,75 @@ class Crossing:
         return Crossing((c, d, a, b), self.sign)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class PDDiagram:
-    crossings: tuple[Crossing, ...] = ()
-    free_loops: int = 0
+    """A diagram is ``_signs``, one per crossing, and the pass table
+    ``_passes`` = (arc, succ): pass 2*ci enters crossing ci on the
+    under-strand, pass 2*ci + 1 on the over-strand, arc[p] is the arc
+    pass p enters on and succ[p] the next pass along its strand. Every
+    walk reads the table and none writes to its lists; switching,
+    smoothing and bigon cancellation build new ones. ``crossings`` is
+    written from the table when something first reads it.
+    """
+
+    _signs: list[int]
+    _passes: tuple[list[int], list[int]]
+    free_loops: int
+
+    def __init__(self, crossings: tuple[Crossing, ...] = (), free_loops: int = 0):
+        vars(self).update(crossings=crossings, free_loops=free_loops)
+        self.__post_init__()
 
     def __post_init__(self):
+        """Read the crossing records into the pass table, checking that
+        every arc has exactly one inflow and one outflow."""
         if self.free_loops < 0:
             raise ValueError("free loop count cannot be negative")
-        # Distinct in-arcs, distinct successors and every out-arc entered
-        # somewhere: then each arc has exactly one inflow and one outflow.
-        try:
-            arc, succ = self._passes
-        except KeyError as exc:
-            raise ValueError(f"arc {exc.args[0]} is left but never entered") from None
-        if len(set(arc)) < len(arc) or len(set(succ)) < len(succ):
-            raise ValueError("an arc is entered twice or left twice")
-
-    @classmethod
-    def _derived(cls, crossings: tuple[Crossing, ...], free_loops: int) -> "PDDiagram":
-        """A diagram the engine derives from a valid one, built unchecked.
-
-        Switching, smoothing and bigon cancellation keep every
-        arc's one inflow and one outflow, and braid closure produces them
-        by construction, so only input from outside goes through
-        __post_init__.
-        """
-        d = object.__new__(cls)
-        object.__setattr__(d, "crossings", crossings)
-        object.__setattr__(d, "free_loops", free_loops)
-        return d
-
-    @cached_property
-    def _passes(self) -> tuple[list[int], list[int]]:
-        """The pass table: the one traversal every walk of the diagram reads.
-
-        Pass 2*ci enters crossing ci on the under-strand, pass 2*ci + 1 on
-        the over-strand. arc[p] is the arc pass p enters on and succ[p]
-        the next pass along its strand. It is built once per diagram and
-        every reader shares its two lists, so none may write to them.
-        """
         arc: list[int] = []
         out: list[int] = []
         for c in self.crossings:
             a, b, cc, d = c.arcs
-            if c.sign > 0:
-                arc += (a, b)
-                out += (cc, d)
-            else:
-                arc += (a, d)
-                out += (cc, b)
+            if c.sign < 0:
+                b, d = d, b
+            arc += (a, b)
+            out += (cc, d)
         enter = {a: p for p, a in enumerate(arc)}
-        return arc, [enter[a] for a in out]
+        try:
+            succ = [enter[a] for a in out]
+        except KeyError as exc:
+            raise ValueError(f"arc {exc.args[0]} is left but never entered") from None
+        if len(enter) < len(arc) or len(set(succ)) < len(succ):
+            raise ValueError("an arc is entered twice or left twice")
+        vars(self).update(_signs=[c.sign for c in self.crossings], _passes=(arc, succ))
+
+    @classmethod
+    def _derived(cls, signs, arc, succ, free_loops: int) -> "PDDiagram":
+        """A diagram the engine derives from a valid one, built unchecked:
+        switching, smoothing, bigon cancellation and braid closure keep
+        every arc's one inflow and one outflow by construction."""
+        d = object.__new__(cls)
+        vars(d).update(_signs=signs, _passes=(arc, succ), free_loops=free_loops)
+        return d
+
+    @cached_property
+    def crossings(self) -> tuple[Crossing, ...]:
+        """The crossing records, the diagram's text form."""
+        arc, succ = self._passes
+        records = []
+        for ci, sign in enumerate(self._signs):
+            a, b, c, d = arc[2 * ci], arc[2 * ci + 1], arc[succ[2 * ci]], arc[succ[2 * ci + 1]]
+            records.append(Crossing((a, b, c, d) if sign > 0 else (a, d, c, b), sign))
+        return tuple(records)
+
+    def __hash__(self):
+        return hash((tuple(self._signs), tuple(self._passes[0]), self.free_loops))
+
+    def __repr__(self) -> str:
+        return f"PDDiagram(crossings={self.crossings!r}, free_loops={self.free_loops!r})"
 
     def arcs(self) -> list[int]:
-        return sorted({a for c in self.crossings for a in c.arcs})
+        # Each arc is entered by exactly one pass.
+        return sorted(self._passes[0])
 
     def components(self) -> int:
         """Closed strand cycles, free loops included."""
@@ -118,36 +121,28 @@ class PDDiagram:
         return self.free_loops + _cycle_count(list(self._passes[1]))
 
     def switch_crossing(self, index: int) -> "PDDiagram":
-        """Exchange over and under at one crossing; everything else unchanged."""
-        c = self._get(index)
-        a, b, cc, d = c.arcs
-        if c.sign > 0:
-            new = Crossing((b, cc, d, a), -1)
-        else:
-            new = Crossing((d, a, b, cc), +1)
-        crossings = self.crossings[:index] + (new,) + self.crossings[index + 1 :]
-        return PDDiagram._derived(crossings, self.free_loops)
+        """Exchange over and under at one crossing: its two passes swap
+        numbers and its sign flips; everything else unchanged."""
+        u, o = self._pass_pair(index)
+        signs, arc, succ = list(self._signs), list(self._passes[0]), list(self._passes[1])
+        signs[index] = -signs[index]
+        arc[u], arc[o] = arc[o], arc[u]
+        # Conjugate succ by the swap: what entered u enters o, and back.
+        pu, po = succ.index(u), succ.index(o)
+        succ[pu], succ[po] = o, u
+        succ[u], succ[o] = succ[o], succ[u]
+        return PDDiagram._derived(signs, arc, succ, self.free_loops)
 
     def smooth_crossing(self, index: int) -> "PDDiagram":
-        """Remove one crossing by the orientation-respecting reconnection."""
-        c = self._get(index)
-        a, b, cc, d = c.arcs
-        # Each join glues an incoming arc to an outgoing arc into one arc.
-        if c.sign > 0:
-            joins = [(a, d), (b, cc)]
-        else:
-            joins = [(a, b), (d, cc)]
-        rest = self.crossings[:index] + self.crossings[index + 1 :]
-        return _join_arcs(rest, joins, self.free_loops)
+        """Remove one crossing by the orientation-respecting reconnection:
+        a strand entering on either pass leaves along the other."""
+        u, o = self._pass_pair(index)
+        succ = self._passes[1]
+        return _splice(self, (index,), {u: succ[o], o: succ[u]})
 
     def relabel(self, mapping: dict[int, int]) -> "PDDiagram":
-        return PDDiagram(
-            tuple(
-                Crossing(tuple(mapping[a] for a in c.arcs), c.sign)
-                for c in self.crossings
-            ),
-            self.free_loops,
-        )
+        crossings = (Crossing(tuple(mapping[a] for a in c.arcs), c.sign) for c in self.crossings)
+        return PDDiagram(tuple(crossings), self.free_loops)
 
     def reversed(self) -> "PDDiagram":
         return PDDiagram(tuple(c.reversed() for c in self.crossings), self.free_loops)
@@ -171,7 +166,7 @@ class PDDiagram:
         pass table; no piece diagram is built.
         """
         succ = self._passes[1]
-        signs = [c.sign for c in self.crossings]
+        signs = self._signs
         # low[p] is the part of pass p's symbol that does not depend on
         # numbering. Reversal keeps each pass's strand and sign and walks
         # the passes backwards.
@@ -206,10 +201,11 @@ class PDDiagram:
             codes.append(",".join(map(str, best)))
         return f"L{self.free_loops}|" + "||".join(sorted(codes))
 
-    def _get(self, index: int) -> Crossing:
-        if not 0 <= index < len(self.crossings):
+    def _pass_pair(self, index: int) -> tuple[int, int]:
+        """The under- and over-pass of crossing ``index``."""
+        if not 0 <= index < len(self._signs):
             raise ValueError(f"no crossing with index {index}")
-        return self.crossings[index]
+        return 2 * index, 2 * index + 1
 
     def to_text(self) -> str:
         lines = [
@@ -235,42 +231,43 @@ class PDDiagram:
                 raise ParseError(f"bad diagram line {line!r}")
             try:
                 a, b, c, d, s = (int(p) for p in parts[1:])
+                crossings.append(Crossing((a, b, c, d), s))
             except ValueError:
                 raise ParseError(f"bad diagram line {line!r}") from None
-            crossings.append(Crossing((a, b, c, d), s))
         try:
             return cls(tuple(crossings), loops)
         except ValueError as exc:
             raise ParseError(str(exc)) from None
 
 
-def _join_arcs(crossings, joins, free_loops: int) -> PDDiagram:
-    """Glue each (in-arc, out-arc) pair of ``joins`` into one arc.
+def _splice(d: PDDiagram, gone: tuple[int, ...], jump: dict[int, int]) -> PDDiagram:
+    """``d`` without the crossings ``gone``, the others kept in order: a
+    strand entering removed pass e continues at jump[e].
 
-    Pairs are taken in order, each endpoint read through the renames
-    made so far. A pair that is already one arc closes a free loop;
-    otherwise the out-arc takes the in-arc's label, so every label stays
-    the parent's. Only kept crossings that touch a renamed arc are
-    rebuilt; the others are passed through as the same objects.
+    The arc into the next kept pass takes the label of the first removed
+    pass entered, so every label stays the parent's, and a cycle made
+    only of jumps is a free loop. Consumes ``jump``.
     """
-    rename: dict[int, int] = {}
-    for u, v in joins:
-        u, v = rename.get(u, u), rename.get(v, v)
-        if u == v:
-            free_loops += 1
-            continue
-        # An arc already renamed to v follows v to u, so one lookup suffices.
-        for old, new in rename.items():
-            if new == v:
-                rename[old] = u
-        rename[v] = u
-    kept = tuple(
-        c
-        if rename.keys().isdisjoint(c.arcs)
-        else Crossing(tuple(rename.get(a, a) for a in c.arcs), c.sign)
-        for c in crossings
-    )
-    return PDDiagram._derived(kept, free_loops)
+    arc, succ = list(d._passes[0]), list(d._passes[1])
+    loops = d.free_loops
+    for e in jump:
+        k = succ.index(e)
+        if k >> 1 not in gone:
+            t = jump[e]
+            while t >> 1 in gone:
+                t = jump[t]
+            succ[k], arc[t] = t, arc[e]
+    # Jumps that no strand from a kept pass reaches close on themselves.
+    while jump:
+        e, t = jump.popitem()
+        while t in jump:
+            t = jump.pop(t)
+        loops += t == e
+    signs = list(d._signs)
+    for x in sorted(gone, reverse=True):
+        del signs[x], arc[2 * x : 2 * x + 2], succ[2 * x : 2 * x + 2]
+        succ = [s - 2 if s > 2 * x else s for s in succ]
+    return PDDiagram._derived(signs, arc, succ, loops)
 
 
 def _cancel_bigons(d: PDDiagram) -> PDDiagram:
@@ -280,10 +277,10 @@ def _cancel_bigons(d: PDDiagram) -> PDDiagram:
     over-strand at both ends and one that is the under-strand at both
     ends, so the two strands pull apart exactly (the link is unchanged).
     Over passes are scanned in crossing order, and both strands of the
-    first bigon found are glued past the pair.
+    first bigon found skip the pair.
     """
     while True:
-        arc, succ = d._passes
+        succ = d._passes[1]
         for p in range(1, len(succ), 2):
             x, y = p >> 1, succ[p] >> 1
             if not succ[p] & 1 or x == y:
@@ -294,9 +291,7 @@ def _cancel_bigons(d: PDDiagram) -> PDDiagram:
                 q = 2 * y
             else:
                 continue
-            rest = [c for ci, c in enumerate(d.crossings) if ci != x and ci != y]
-            joins = [(arc[s], arc[succ[succ[s]]]) for s in (p, q)]
-            d = _join_arcs(rest, joins, d.free_loops)
+            d = _splice(d, (x, y), {s: succ[succ[s]] for s in (p, q)})
             break
         else:
             return d
@@ -364,25 +359,27 @@ def closure_to_diagram(b: BraidWord) -> PDDiagram:
 
     Letter j leaves on arcs n+1+2j and n+2+2j, so one pass over the letters
     gives each strand's bottom arc; the strand starts on it, which glues
-    the closure as the crossings are built. An untouched strand keeps its
-    arc p+1 and is a free loop."""
+    the closure as the passes are laid. The strand from the right passes
+    under a positive letter and over a negative one; each leaves on the
+    other side. An untouched strand keeps its arc p+1 and is a free
+    loop."""
     n = b.strands
     cur = list(range(1, n + 1))
     for j, e in enumerate(b.letters):
         i = abs(e)
         cur[i - 1], cur[i] = n + 1 + 2 * j, n + 2 + 2 * j
     loops = sum(cur[p] == p + 1 for p in range(n))
-    crossings = []
+    arc: list[int] = []
+    out: list[int] = []
     for j, e in enumerate(b.letters):
         i = abs(e)
-        left, right = cur[i - 1], cur[i]
-        out_left, out_right = n + 1 + 2 * j, n + 2 + 2 * j
-        if e > 0:
-            crossings.append(Crossing((right, left, out_left, out_right), +1))
-        else:
-            crossings.append(Crossing((left, out_left, out_right, right), -1))
-        cur[i - 1], cur[i] = out_left, out_right
-    return PDDiagram._derived(tuple(crossings), loops)
+        under, over = (i, i - 1) if e > 0 else (i - 1, i)
+        arc += (cur[under], cur[over])
+        cur[i - 1], cur[i] = n + 1 + 2 * j, n + 2 + 2 * j
+        out += (cur[over], cur[under])
+    enter = {a: p for p, a in enumerate(arc)}
+    signs = [1 if e > 0 else -1 for e in b.letters]
+    return PDDiagram._derived(signs, arc, [enter[a] for a in out], loops)
 
 
 @dataclass(frozen=True)
@@ -544,12 +541,11 @@ def realizable_unsigned(sequence: list[tuple[str, int]]) -> bool:
 
 def gauss_from_diagram(d: PDDiagram) -> GaussCode:
     """Traverse a one-component diagram, recording each pass."""
-    if not d.crossings:
-        if d.free_loops == 1:
-            return GaussCode(())
+    # A diagram with crossings and a free loop has two components or more.
+    if d.components() != 1:
         raise ValueError("Gauss codes require a single-component diagram")
-    if d.free_loops or d.components() != 1:
-        raise ValueError("Gauss codes require a single-component diagram")
+    if not d._signs:
+        return GaussCode(())
     arc, succ = d._passes
     start = p = arc.index(min(arc))
     labels: dict[int, int] = {}
@@ -557,7 +553,7 @@ def gauss_from_diagram(d: PDDiagram) -> GaussCode:
     while True:
         ci = p >> 1
         labels.setdefault(ci, len(labels) + 1)
-        entries.append((OVER if p & 1 else UNDER, labels[ci], d.crossings[ci].sign))
+        entries.append((OVER if p & 1 else UNDER, labels[ci], d._signs[ci]))
         p = succ[p]
         if p == start:
             break

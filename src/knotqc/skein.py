@@ -96,7 +96,7 @@ def _evaluate(
             if viol is not None:
                 # The smoothing is popped, and so evaluated, first.
                 work += (
-                    (key, d.crossings[viol].sign),
+                    (key, d._signs[viol]),
                     d.switch_crossing(viol),
                     d.smooth_crossing(viol),
                 )
@@ -133,7 +133,9 @@ def homfly_with_stats(
         _check_size(len(b.letters), b.strands - len(touched), budget)
         d = closure_to_diagram(b)
     elif isinstance(obj, PDDiagram):
-        _check_size(len(obj.crossings), obj.free_loops, budget)
+        if not obj._signs and not obj.free_loops:
+            raise ValueError("the diagram has no components, so no invariant")
+        _check_size(len(obj._signs), obj.free_loops, budget)
         d = obj
     else:
         raise TypeError(f"expected a braid word or diagram, got {type(obj).__name__}")

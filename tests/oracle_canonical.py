@@ -17,6 +17,8 @@ pieces() is also how tests split a diagram into its connected pieces.
 
 from knotqc.diagram import Crossing, PDDiagram
 
+from oracle_traversal import _inflow, exit_slot, in_slots
+
 
 def oracle_key(d: PDDiagram) -> str:
     keys = []
@@ -25,21 +27,12 @@ def oracle_key(d: PDDiagram) -> str:
         for variant in (piece, piece.reversed()):
             inflow = _inflow(variant)
             for ci in range(len(variant.crossings)):
-                for slot in variant.crossings[ci].in_slots():
+                for slot in in_slots(variant.crossings[ci]):
                     code = _encode_traversal(variant, inflow, (ci, slot))
                     if best is None or code < best:
                         best = code
         keys.append(best or "")
     return f"L{d.free_loops}|" + "||".join(sorted(keys))
-
-
-def _inflow(self) -> dict[int, tuple[int, int]]:
-    # Entry arc -> (crossing, slot), read from the crossing slots.
-    table = {}
-    for ci, c in enumerate(self.crossings):
-        for slot in c.in_slots():
-            table[c.arcs[slot]] = (ci, slot)
-    return table
 
 
 def _encode_traversal(d: PDDiagram, inflow, start: tuple[int, int]) -> str:
@@ -59,7 +52,7 @@ def _encode_traversal(d: PDDiagram, inflow, start: tuple[int, int]) -> str:
         arc_in = d.crossings[ci].arcs[slot]
         if arc_in not in arc_number:
             arc_number[arc_in] = len(arc_number)
-        arc_out = d.crossings[ci].arcs[d.crossings[ci].exit_slot(slot)]
+        arc_out = d.crossings[ci].arcs[exit_slot(d.crossings[ci], slot)]
         pos = inflow[arc_out]
     order = sorted(crossing_number, key=crossing_number.get)
     parts = []
@@ -75,7 +68,7 @@ def _next_start(d: PDDiagram, crossing_number, visited):
     # Earliest-numbered crossing with an unvisited entry pass; in a
     # connected piece one always exists until the traversal is complete.
     for ci in sorted(crossing_number, key=crossing_number.get):
-        for slot in d.crossings[ci].in_slots():
+        for slot in in_slots(d.crossings[ci]):
             if (ci, slot) not in visited:
                 return (ci, slot)
     raise AssertionError("disconnected piece handed to traversal encoder")
@@ -107,7 +100,7 @@ def pieces(self: PDDiagram) -> list[PDDiagram]:
         groups.setdefault(find(ci), []).append(c)
     if len(groups) == 1 and not self.free_loops:
         return [self]
-    return [PDDiagram._derived(tuple(cs), 0) for cs in groups.values()]
+    return [PDDiagram(tuple(cs), 0) for cs in groups.values()]
 
 
 def _least_code(d: PDDiagram) -> list[int]:

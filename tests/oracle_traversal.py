@@ -1,4 +1,4 @@
-"""Reference traversals of planar diagrams, built from crossing slots.
+"""Reference traversals and edits of planar diagrams, built from crossing slots.
 
 Each walk reads the arc -> (crossing, slot) inflow map and the crossing
 slot layout, with no pass table: the component count, the Gauss code,
@@ -6,11 +6,107 @@ the first-violation search, and a bigon search with its own tail/head
 maps that groups arcs by crossing pair and cancels bigons in that
 grouping's order. Tests hold PDDiagram._passes and every walk that
 reads it against these.
+
+The record-level edits (in_slots, exit_slot, join_arcs, switch_crossing,
+smooth_crossing, cancel_bigons) are frozen copies of the crossing-record
+code PDDiagram used before its edits were restated on the pass table:
+switching rebuilds one record, and smoothing and bigon cancellation glue
+arcs through a rename map. Tests hold the pass-table edits against them
+record for record.
 """
 
-from knotqc.diagram import OVER, UNDER, GaussCode, PDDiagram, _join_arcs
+from knotqc.diagram import OVER, UNDER, Crossing, GaussCode, PDDiagram
 
-from oracle_canonical import _inflow
+
+def in_slots(c: Crossing) -> tuple[int, int]:
+    return (0, 1) if c.sign > 0 else (0, 3)
+
+
+def exit_slot(c: Crossing, in_slot: int) -> int:
+    if in_slot == 0:
+        return 2
+    if c.sign > 0 and in_slot == 1:
+        return 3
+    if c.sign < 0 and in_slot == 3:
+        return 1
+    raise ValueError(f"slot {in_slot} is not an entry slot of this crossing")
+
+
+def _inflow(self) -> dict[int, tuple[int, int]]:
+    # Entry arc -> (crossing, slot), read from the crossing slots.
+    table = {}
+    for ci, c in enumerate(self.crossings):
+        for slot in in_slots(c):
+            table[c.arcs[slot]] = (ci, slot)
+    return table
+
+
+def join_arcs(crossings, joins, free_loops: int) -> PDDiagram:
+    """Glue each (in-arc, out-arc) pair of ``joins`` into one arc.
+
+    Pairs are taken in order, each endpoint read through the renames
+    made so far. A pair that is already one arc closes a free loop;
+    otherwise the out-arc takes the in-arc's label, so every label stays
+    the parent's.
+    """
+    rename: dict[int, int] = {}
+    for u, v in joins:
+        u, v = rename.get(u, u), rename.get(v, v)
+        if u == v:
+            free_loops += 1
+            continue
+        # An arc already renamed to v follows v to u, so one lookup suffices.
+        for old, new in rename.items():
+            if new == v:
+                rename[old] = u
+        rename[v] = u
+    kept = tuple(
+        c
+        if rename.keys().isdisjoint(c.arcs)
+        else Crossing(tuple(rename.get(a, a) for a in c.arcs), c.sign)
+        for c in crossings
+    )
+    return PDDiagram(kept, free_loops)
+
+
+def switch_crossing(d: PDDiagram, index: int) -> PDDiagram:
+    """Exchange over and under at one crossing by rebuilding its record."""
+    c = d.crossings[index]
+    a, b, cc, dd = c.arcs
+    new = Crossing((b, cc, dd, a), -1) if c.sign > 0 else Crossing((dd, a, b, cc), +1)
+    return PDDiagram(d.crossings[:index] + (new,) + d.crossings[index + 1 :], d.free_loops)
+
+
+def smooth_crossing(d: PDDiagram, index: int) -> PDDiagram:
+    """Remove one crossing by the orientation-respecting reconnection."""
+    c = d.crossings[index]
+    a, b, cc, dd = c.arcs
+    # Each join glues an incoming arc to an outgoing arc into one arc.
+    joins = [(a, dd), (b, cc)] if c.sign > 0 else [(a, b), (dd, cc)]
+    return join_arcs(d.crossings[:index] + d.crossings[index + 1 :], joins, d.free_loops)
+
+
+def cancel_bigons(d: PDDiagram) -> PDDiagram:
+    """diagram._cancel_bigons's scan, gluing each bigon's strands with
+    join_arcs."""
+    while True:
+        arc, succ = d._passes
+        for p in range(1, len(succ), 2):
+            x, y = p >> 1, succ[p] >> 1
+            if not succ[p] & 1 or x == y:
+                continue
+            if succ[2 * x] == 2 * y:
+                q = 2 * x
+            elif succ[2 * y] == 2 * x:
+                q = 2 * y
+            else:
+                continue
+            rest = [c for ci, c in enumerate(d.crossings) if ci != x and ci != y]
+            joins = [(arc[s], arc[succ[succ[s]]]) for s in (p, q)]
+            d = join_arcs(rest, joins, d.free_loops)
+            break
+        else:
+            return d
 
 
 def components(self) -> int:
@@ -27,7 +123,7 @@ def components(self) -> int:
             seen.add(a)
             ci, slot = inflow[a]
             c = self.crossings[ci]
-            a = c.arcs[c.exit_slot(slot)]
+            a = c.arcs[exit_slot(c, slot)]
     return count
 
 
@@ -50,7 +146,7 @@ def gauss_from_diagram(d: PDDiagram) -> GaussCode:
         if ci not in labels:
             labels[ci] = len(labels) + 1
         entries.append((UNDER if slot == 0 else OVER, labels[ci], c.sign))
-        arc = c.arcs[c.exit_slot(slot)]
+        arc = c.arcs[exit_slot(c, slot)]
         if arc == start_arc:
             break
     return GaussCode(tuple(entries))
@@ -72,7 +168,7 @@ def _find_bigon(d: PDDiagram):
     tail: dict[int, tuple[int, int]] = {}
     head: dict[int, tuple[int, int]] = {}
     for ci, c in enumerate(d.crossings):
-        ins = c.in_slots()
+        ins = in_slots(c)
         for slot in range(4):
             arc = c.arcs[slot]
             if slot in ins:
@@ -120,7 +216,7 @@ def _cancel_bigons(d: PDDiagram) -> PDDiagram:
         out_b = d.crossings[cv_head].arcs[2]
         dead = {cu_tail, cu_head}
         rest = [c for ci, c in enumerate(d.crossings) if ci not in dead]
-        d = _join_arcs(rest, [(in_a, out_a), (in_b, out_b)], d.free_loops)
+        d = join_arcs(rest, [(in_a, out_a), (in_b, out_b)], d.free_loops)
 
 
 def _first_violation(d: PDDiagram) -> int | None:
@@ -141,5 +237,5 @@ def _first_violation(d: PDDiagram) -> int | None:
                 if slot == 0:
                     return ci
             c = d.crossings[ci]
-            arc = c.arcs[c.exit_slot(slot)]
+            arc = c.arcs[exit_slot(c, slot)]
     return None

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from knotqc import diagram
 from knotqc.braid import BraidWord, random_braid
 from knotqc.diagram import (
     Crossing,
@@ -19,7 +18,8 @@ from knotqc.diagram import (
     realizable_unsigned,
 )
 from knotqc.errors import BudgetExceededError, ParseError
-from knotqc.skein import _cancel_bigons, homfly_with_stats
+from knotqc.laurent import LaurentPoly2
+from knotqc.skein import _cancel_bigons, homfly, homfly_with_stats
 
 import oracle_closure
 import oracle_traversal
@@ -201,72 +201,16 @@ def test_canonical_key_equals_frozen_copy():
     [BraidWord(4, (1, 3, 1, -3, 1)), BraidWord(3, (1, -1, 1))],
     ids=["split", "free-loop"],
 )
-def test_canonical_key_builds_only_its_own_pass_table(monkeypatch, word):
-    prop = vars(PDDiagram)["_passes"]
-    built = []
-
-    def counting(self, build=prop.func):
-        built.append(self)
-        return build(self)
-
-    monkeypatch.setattr(prop, "func", counting)
+def test_canonical_key_constructs_no_diagram(monkeypatch, word):
+    # Pieces are found and walked on the diagram's own pass table: a key
+    # builds no diagram, checked or derived, and writes no records.
     expected = frozen_key(closure_to_diagram(word))
-    built.clear()
     d = closure_to_diagram(word)
+    built = []
+    monkeypatch.setattr(PDDiagram, "__post_init__", lambda self: built.append(self))
+    monkeypatch.setattr(PDDiagram, "_derived", classmethod(lambda cls, *a: built.append(a)))
     assert d.canonical_key() == expected
-    assert len(built) == 1 and built[0] is d
-
-
-def _join_all(crossings, joins, free_loops: int) -> PDDiagram:
-    """Glue arcs as _join_arcs does, rebuilding every kept crossing."""
-    rename: dict[int, int] = {}
-    for u, v in joins:
-        u, v = rename.get(u, u), rename.get(v, v)
-        if u == v:
-            free_loops += 1
-            continue
-        for old, new in rename.items():
-            if new == v:
-                rename[old] = u
-        rename[v] = u
-    kept = tuple(
-        Crossing(tuple(rename.get(a, a) for a in c.arcs), c.sign) for c in crossings
-    )
-    return PDDiagram._derived(kept, free_loops)
-
-
-def test_join_arcs_rebuilds_only_touched_crossings(monkeypatch):
-    # Smoothings and bigon cancellations glue arcs through _join_arcs; the
-    # result equals a full rebuild, and every crossing that touches no
-    # renamed arc is passed through as the same object.
-    calls = []
-
-    def recording(crossings, joins, free_loops, join=diagram._join_arcs):
-        crossings = tuple(crossings)
-        result = join(crossings, joins, free_loops)
-        calls.append((crossings, joins, free_loops, result))
-        return result
-
-    monkeypatch.setattr(diagram, "_join_arcs", recording)
-    rng = random.Random(3131)
-    for _ in range(150):
-        d = closure_to_diagram(
-            random_braid(rng.randrange(2, 6), rng.randrange(1, 12), rng.randrange(10**9))
-        )
-        for k in range(len(d.crossings)):
-            _cancel_bigons(d.smooth_crossing(k))
-            _cancel_bigons(d.switch_crossing(k))
-    kept = touched = 0
-    for crossings, joins, free_loops, result in calls:
-        full = _join_all(crossings, joins, free_loops)
-        assert result == full
-        for old, new, rebuilt in zip(crossings, result.crossings, full.crossings):
-            if rebuilt == old:
-                assert new is old
-                kept += 1
-            else:
-                touched += 1
-    assert len(calls) > 2000 and kept > 1000 and touched > 1000
+    assert built == [] and "crossings" not in vars(d)
 
 
 def _rebuilt(d: PDDiagram) -> PDDiagram:
@@ -340,6 +284,73 @@ def test_pass_table_traversals_match_slot_oracle():
     assert checked > 15000 and one_component > 4000 and cancelled > 8000
 
 
+def test_pass_edits_match_record_oracle():
+    # Arc labels pick the skein engine's base points, and crossing order
+    # its violation and bigon choices, so switching, smoothing and bigon
+    # cancellation on the pass table must give the record-level oracle's
+    # diagrams record for record and loop for loop, on closures and their
+    # reversed, relabeled and Gauss round-trip copies.
+    rng = random.Random(4041)
+    checked = split = loops = cancelled = gauss = 0
+    for _ in range(240):
+        n = rng.randrange(2, 6)
+        gens = rng.sample(range(1, n), rng.randrange(1, n))
+        letters = tuple(
+            rng.choice(gens) * rng.choice((1, -1)) for _ in range(rng.randrange(0, 11))
+        )
+        d = closure_to_diagram(BraidWord(n, letters))
+        family = [d, d.reversed(), _relabel_and_shuffle(d, rng)]
+        if d.components() == 1 and d.crossings:
+            family.append(diagram_from_gauss(gauss_from_diagram(d)))
+            gauss += 1
+        for e in family:
+            for k in range(len(e.crossings)):
+                for new, old in (
+                    (e.switch_crossing(k), oracle_traversal.switch_crossing(e, k)),
+                    (e.smooth_crossing(k), oracle_traversal.smooth_crossing(e, k)),
+                    (_cancel_bigons(e.smooth_crossing(k)),
+                     oracle_traversal.cancel_bigons(oracle_traversal.smooth_crossing(e, k))),
+                ):
+                    assert (new.crossings, new.free_loops) == (old.crossings, old.free_loops)
+                    assert new == old
+                    checked += 1
+            new, old = _cancel_bigons(e), oracle_traversal.cancel_bigons(e)
+            assert (new.crossings, new.free_loops) == (old.crossings, old.free_loops)
+            cancelled += len(new.crossings) < len(e.crossings)
+            split += len(pieces(e)) > 1
+            loops += bool(e.free_loops and e.crossings)
+    assert checked > 12000 and cancelled > 500 and gauss > 40
+    assert split > 50 and loops > 300
+
+
+# Seven crossings whose bigon cancellations end on kinks of opposite sign.
+BIGON_TRAP = """X 20 5 6 18 -1
+X 19 9 10 5 -1
+X 6 11 12 16 -1
+X 10 13 14 11 -1
+X 12 14 15 16 +1
+X 15 13 17 18 +1
+X 17 9 19 20 +1"""
+
+
+def test_bigon_cancellation_of_trap_diagram_is_pinned():
+    # _cancel_bigons takes over passes in crossing order and keeps its
+    # record-level result; the slot oracle's grouping order ends on the
+    # opposite kink, which is the same unknot.
+    d = PDDiagram.parse(BIGON_TRAP)
+    ours, slot = _cancel_bigons(d), oracle_traversal._cancel_bigons(d)
+    assert ours == oracle_traversal.cancel_bigons(d)
+    assert ours.to_text() == "X 16 15 15 16 +1"
+    assert slot.to_text() == "X 13 13 14 14 -1"
+    assert homfly(ours) == homfly(slot) == homfly(d) == LaurentPoly2.one()
+
+
+@pytest.mark.parametrize("sign", ["2", "0"])
+def test_bad_crossing_sign_is_a_parse_error(sign):
+    with pytest.raises(ParseError, match="bad diagram line"):
+        PDDiagram.parse(f"X 1 2 2 1 {sign}")
+
+
 def test_pd_text_round_trip():
     d = trefoil_diagram()
     assert PDDiagram.parse(d.to_text()) == d
@@ -394,18 +405,30 @@ def test_kink_and_empty_diagram_accepted(text):
     assert d == PDDiagram(d.crossings, d.free_loops)
 
 
-def test_pass_table_is_built_once_per_diagram(monkeypatch):
-    prop = vars(PDDiagram)["_passes"]
-    built = []
+def test_skein_request_reads_records_once_at_its_root(monkeypatch):
+    # Every diagram below the root is spliced from its parent's pass
+    # table: records become passes once, at a diagram root and never for a
+    # braid, and no node writes records back.
+    word = random_braid(4, 12, 5)
+    text = closure_to_diagram(word).to_text()
+    read, written = [], []
+    check, write = PDDiagram.__post_init__, vars(PDDiagram)["crossings"].func
 
-    def counting(self, build=prop.func):
-        built.append(self)
-        return build(self)
+    def reading(self):
+        read.append(self)
+        check(self)
 
-    monkeypatch.setattr(prop, "func", counting)
-    homfly_with_stats(closure_to_diagram(random_braid(4, 12, 5)))
-    assert len(built) > 20
-    assert len({id(d) for d in built}) == len(built)
+    def writing(self):
+        written.append(self)
+        return write(self)
+
+    monkeypatch.setattr(PDDiagram, "__post_init__", reading)
+    monkeypatch.setattr(vars(PDDiagram)["crossings"], "func", writing)
+    _, stats = homfly_with_stats(word)
+    assert read == [] and stats.nodes > 10
+    _, stats = homfly_with_stats(PDDiagram.parse(text))
+    assert len(read) == 1 and stats.nodes > 10
+    assert written == []
 
 
 def test_parse_gauss_trefoil():

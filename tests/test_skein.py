@@ -4,7 +4,7 @@ import random
 import pytest
 
 from knotqc.braid import BraidWord, random_braid
-from knotqc.diagram import closure_to_diagram
+from knotqc.diagram import PDDiagram, closure_to_diagram
 from knotqc.errors import BudgetExceededError
 from knotqc.laurent import LaurentPoly1, LaurentPoly2
 from knotqc import skein
@@ -90,6 +90,14 @@ def test_engine_entry_refuses_other_inputs(obj):
                  lambda o: homfly_coeff(o, 0)):
         with pytest.raises(TypeError, match="expected a braid word or diagram"):
             call(obj)
+
+
+def test_engine_entry_refuses_a_diagram_without_components():
+    # No crossings and no free loops: the unknot normalization has nothing
+    # to divide, so the entry refuses before any arithmetic.
+    for call in (homfly_with_stats, homfly, jones):
+        with pytest.raises(ValueError, match="no components"):
+            call(PDDiagram.parse(""))
 
 
 def test_jones_five_crossing_knots_match_tables():
