@@ -274,11 +274,8 @@ def _project_pair(n: int, total: int, amp: np.ndarray, a: int, channel: int) -> 
     """Project onto the pair (a, a+1) fusing to the channel, by E_a/phi for
     the vacuum and 1 - E_a/phi for tau; no renormalization."""
     partner, diag, off = _pair_table(a, n, total)
-    if channel == VACUUM:
-        d, o = diag / PHI, off / PHI
-    else:
-        d, o = 1 - diag / PHI, -off / PHI
-    return _act((partner, d, o), amp.copy())
+    vacuum = _act((partner, diag / PHI, off / PHI), amp.copy())
+    return vacuum if channel == VACUUM else amp - vacuum
 
 
 def _pair_vacuum_probability(n: int, total: int, amp: np.ndarray, a: int) -> float:
@@ -305,10 +302,10 @@ def sample_measurement(state: AnyonState, layout: QubitLayout, seed: int) -> str
     bits = []
     for quartet in layout.quartets:
         a = quartet[0]
-        p0 = _pair_vacuum_probability(state.n, state.total, amp, a)
-        bit = 0 if rng.random() < p0 else 1
+        vacuum = _project_pair(state.n, state.total, amp, a, VACUUM)
+        bit = 0 if rng.random() < np.vdot(vacuum, vacuum).real else 1
         bits.append(str(bit))
-        amp = _project_pair(state.n, state.total, amp, a, VACUUM if bit == 0 else TAU)
+        amp = vacuum if bit == 0 else amp - vacuum
         norm = np.linalg.norm(amp)
         if norm == 0:
             raise AssertionError("projected onto a zero-probability outcome")

@@ -8,10 +8,11 @@ slot 1 -> slot 3, in a negative crossing slot 3 -> slot 1. Split
 unknotted circles (no crossings) are tracked by a free-loop count so
 smoothing can disconnect diagrams.
 
-A signed Gauss code becomes crossings only in diagram_from_gauss, and
-its realizability is read off the faces of that diagram. Signed and
-unsigned Gauss text share one tokenizer and GaussCode's label check;
-unsigned realizability is Rosenstiehl's criterion on the labels' order.
+Every builder lays passes through one checked step, _succ, and edits
+splice the table; records are read only by the checked constructor and
+written only by crossings. Signed and unsigned Gauss text share one
+tokenizer and GaussCode's label check; unsigned realizability is
+Rosenstiehl's criterion on the labels' order.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import BudgetExceededError, ParseError
 OVER = "O"
 UNDER = "U"
 
-_UNSIGNED_GUARD = 16
+_UNSIGNED_GUARD = 400
 
 
 @dataclass(frozen=True)
@@ -37,12 +38,6 @@ class Crossing:
     def __post_init__(self):
         if self.sign not in (-1, 1):
             raise ValueError(f"crossing sign must be +-1, got {self.sign}")
-
-    def reversed(self) -> "Crossing":
-        # Orientation reversal keeps the plane orientation and the sign;
-        # the outgoing under-arc becomes the incoming one.
-        a, b, c, d = self.arcs
-        return Crossing((c, d, a, b), self.sign)
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -77,20 +72,13 @@ class PDDiagram:
                 b, d = d, b
             arc += (a, b)
             out += (cc, d)
-        enter = {a: p for p, a in enumerate(arc)}
-        try:
-            succ = [enter[a] for a in out]
-        except KeyError as exc:
-            raise ValueError(f"arc {exc.args[0]} is left but never entered") from None
-        if len(enter) < len(arc) or len(set(succ)) < len(succ):
-            raise ValueError("an arc is entered twice or left twice")
-        vars(self).update(_signs=[c.sign for c in self.crossings], _passes=(arc, succ))
+        vars(self).update(_signs=[c.sign for c in self.crossings], _passes=(arc, _succ(arc, out)))
 
     @classmethod
     def _derived(cls, signs, arc, succ, free_loops: int) -> "PDDiagram":
-        """A diagram the engine derives from a valid one, built unchecked:
-        switching, smoothing, bigon cancellation and braid closure keep
-        every arc's one inflow and one outflow by construction."""
+        """A diagram from its signs and pass table, reading no records:
+        switching, smoothing and bigon cancellation keep every arc's one
+        inflow and one outflow; every other builder lays passes by _succ."""
         d = object.__new__(cls)
         vars(d).update(_signs=signs, _passes=(arc, succ), free_loops=free_loops)
         return d
@@ -141,11 +129,15 @@ class PDDiagram:
         return _splice(self, (index,), {u: succ[o], o: succ[u]})
 
     def relabel(self, mapping: dict[int, int]) -> "PDDiagram":
-        crossings = (Crossing(tuple(mapping[a] for a in c.arcs), c.sign) for c in self.crossings)
-        return PDDiagram(tuple(crossings), self.free_loops)
+        arc = [mapping[a] for a in self._passes[0]]
+        out = [arc[q] for q in self._passes[1]]
+        return PDDiagram._derived(self._signs, arc, _succ(arc, out), self.free_loops)
 
     def reversed(self) -> "PDDiagram":
-        return PDDiagram(tuple(c.reversed() for c in self.crossings), self.free_loops)
+        # Each pass keeps its strand and sign and leaves where it entered.
+        arc, succ = self._passes
+        out = [arc[q] for q in succ]
+        return PDDiagram._derived(self._signs, out, _succ(out, arc), self.free_loops)
 
     def canonical_key(self) -> str:
         """Relabeling-invariant code, used to memoize skein recursion.
@@ -238,6 +230,18 @@ class PDDiagram:
             return cls(tuple(crossings), loops)
         except ValueError as exc:
             raise ParseError(str(exc)) from None
+
+
+def _succ(arc: list[int], out: list[int]) -> list[int]:
+    """Each pass's successor, checking every arc has one inflow and one outflow."""
+    enter = {a: p for p, a in enumerate(arc)}
+    try:
+        succ = [enter[a] for a in out]
+    except KeyError as exc:
+        raise ValueError(f"arc {exc.args[0]} is left but never entered") from None
+    if len(enter) < len(arc) or len(set(succ)) < len(succ):
+        raise ValueError("an arc is entered twice or left twice")
+    return succ
 
 
 def _splice(d: PDDiagram, gone: tuple[int, ...], jump: dict[int, int]) -> PDDiagram:
@@ -377,9 +381,8 @@ def closure_to_diagram(b: BraidWord) -> PDDiagram:
         arc += (cur[under], cur[over])
         cur[i - 1], cur[i] = n + 1 + 2 * j, n + 2 + 2 * j
         out += (cur[over], cur[under])
-    enter = {a: p for p, a in enumerate(arc)}
     signs = [1 if e > 0 else -1 for e in b.letters]
-    return PDDiagram._derived(signs, arc, [enter[a] for a in out], loops)
+    return PDDiagram._derived(signs, arc, _succ(arc, out), loops)
 
 
 @dataclass(frozen=True)
@@ -493,7 +496,7 @@ def realizable_unsigned(sequence: list[tuple[str, int]]) -> bool:
     curve's iff (i) every label has an even number of interlaced
     neighbours, (ii) every non-interlaced pair shares an even number, and
     (iii) the interlaced pairs sharing an even number form a cut: some
-    2-colouring separates exactly those pairs. Guarded to 16 crossings.
+    2-colouring separates exactly those pairs. Guarded to 400 crossings.
     """
     labels = sorted({label for _, label in sequence})
     if len(labels) > _UNSIGNED_GUARD:
@@ -563,19 +566,16 @@ def gauss_from_diagram(d: PDDiagram) -> GaussCode:
 def diagram_from_gauss(code: GaussCode) -> PDDiagram:
     """Rebuild the planar diagram a signed code describes.
 
-    This is the one place a signed code becomes crossing records. Arc
-    j+1 runs from pass j to pass j+1 (cyclically), which fixes every
-    crossing record once the sign places the over-strand's entry slot.
+    Arc j+1 runs from entry j to entry j+1 (cyclically), and entry j is a
+    pass of its label's crossing, crossings numbered in label order.
     """
     m = len(code.entries)
     if m == 0:
         return PDDiagram((), 1)
-    at = {(kind, label): j for j, (kind, label, _) in enumerate(code.entries)}
-    crossings = []
-    for label in code.labels():
-        u, o = at[UNDER, label], at[OVER, label]
-        u_in, o_in, u_out, o_out = (u - 1) % m + 1, (o - 1) % m + 1, u + 1, o + 1
-        sign = code.entries[o][2]
-        arcs = (u_in, o_in, u_out, o_out) if sign > 0 else (u_in, o_out, u_out, o_in)
-        crossings.append(Crossing(arcs, sign))
-    return PDDiagram(tuple(crossings), 0)
+    rank = {label: r for r, label in enumerate(code.labels())}
+    arc, out, signs = [0] * m, [0] * m, [0] * len(rank)
+    for j, (kind, label, sign) in enumerate(code.entries):
+        p = 2 * rank[label] + (kind == OVER)
+        arc[p], out[p] = (j - 1) % m + 1, j + 1
+        signs[p >> 1] = sign
+    return PDDiagram._derived(signs, arc, _succ(arc, out), 0)

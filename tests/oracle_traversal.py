@@ -13,6 +13,11 @@ code PDDiagram used before its edits were restated on the pass table:
 switching rebuilds one record, and smoothing and bigon cancellation glue
 arcs through a rename map. Tests hold the pass-table edits against them
 record for record.
+
+diagram_from_gauss, relabel and reverse are frozen copies of the
+record-level builders: each writes crossing records and reads them back
+through the checked constructor. Tests hold the builders that lay
+passes directly against them, table for table.
 """
 
 from knotqc.diagram import OVER, UNDER, Crossing, GaussCode, PDDiagram
@@ -239,3 +244,33 @@ def _first_violation(d: PDDiagram) -> int | None:
             c = d.crossings[ci]
             arc = c.arcs[exit_slot(c, slot)]
     return None
+
+
+def diagram_from_gauss(code: GaussCode) -> PDDiagram:
+    """Arc j+1 runs from pass j to pass j+1 (cyclically), which fixes every
+    crossing record once the sign places the over-strand's entry slot."""
+    m = len(code.entries)
+    if m == 0:
+        return PDDiagram((), 1)
+    at = {(kind, label): j for j, (kind, label, _) in enumerate(code.entries)}
+    crossings = []
+    for label in code.labels():
+        u, o = at[UNDER, label], at[OVER, label]
+        u_in, o_in, u_out, o_out = (u - 1) % m + 1, (o - 1) % m + 1, u + 1, o + 1
+        sign = code.entries[o][2]
+        arcs = (u_in, o_in, u_out, o_out) if sign > 0 else (u_in, o_out, u_out, o_in)
+        crossings.append(Crossing(arcs, sign))
+    return PDDiagram(tuple(crossings), 0)
+
+
+def relabel(d: PDDiagram, mapping: dict[int, int]) -> PDDiagram:
+    crossings = (Crossing(tuple(mapping[a] for a in c.arcs), c.sign) for c in d.crossings)
+    return PDDiagram(tuple(crossings), d.free_loops)
+
+
+def reverse(d: PDDiagram) -> PDDiagram:
+    """Orientation reversal keeps the plane orientation and each sign; the
+    outgoing under-arc becomes the incoming one."""
+    return PDDiagram(
+        tuple(Crossing(c.arcs[2:] + c.arcs[:2], c.sign) for c in d.crossings), d.free_loops
+    )

@@ -148,6 +148,14 @@ def test_gauss_from_file(tmp_path, capsys):
     assert "realizable=true" in out
 
 
+def test_unsigned_guard_refuses_past_400_labels_within_a_second(capsys):
+    text = " ".join([f"O{k}" for k in range(1, 402)] + [f"U{k}" for k in range(401, 0, -1)])
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "realizable", "--unsigned", text)
+    assert code == 2 and "400" in err
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_estimate_check_and_reproducibility(capsys):
     args = [
         "estimate",

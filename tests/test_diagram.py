@@ -219,8 +219,9 @@ def _rebuilt(d: PDDiagram) -> PDDiagram:
 
 
 def test_derived_diagrams_pass_the_checked_constructor():
-    # Closures, switches, smoothings, bigon cancellations and pieces are
-    # built without validation; each must be one the checks accept.
+    # Switches, smoothings and bigon cancellations are built without
+    # validation, and closures through the same checks as records; each,
+    # and each piece, must be one the checked constructor accepts.
     rng = random.Random(4041)
     derived = split = multi = cancelled = 0
     for _ in range(240):
@@ -244,6 +245,58 @@ def test_derived_diagrams_pass_the_checked_constructor():
         multi += d.components() > 1
     assert derived > 2000
     assert split and multi and cancelled
+
+
+def _same_table(new: PDDiagram, old: PDDiagram) -> None:
+    assert new._signs == old._signs and new._passes == old._passes
+    assert new.free_loops == old.free_loops and new.crossings == old.crossings
+
+
+def _random_signed_code(rng: random.Random) -> GaussCode:
+    """A double-occurrence word with random over/under, signs and sparse
+    labels; most are not realizable."""
+    labels = rng.sample(range(1, 1000), rng.randrange(1, 9))
+    word = labels + labels
+    rng.shuffle(word)
+    over = {label: rng.random() < 0.5 for label in labels}
+    sign = {label: rng.choice((1, -1)) for label in labels}
+    entries = []
+    for label in word:
+        entries.append(("O" if over[label] else "U", label, sign[label]))
+        over[label] = not over[label]
+    return GaussCode(tuple(entries))
+
+
+def test_laid_builders_match_record_oracle():
+    # Gauss input, relabeling and reversal lay passes directly; each must
+    # give the record-level builders' diagram table for table, on closures
+    # and their relabelings and reversals, Gauss round trips, and random
+    # signed codes, realizable or not.
+    rng = random.Random(1919)
+    round_trips = unrealizable = 0
+    for _ in range(3000):
+        n = rng.randrange(2, 6)
+        d = closure_to_diagram(random_braid(n, rng.randrange(0, 12), rng.randrange(10**9)))
+        arcs = d.arcs()
+        mapping = dict(zip(arcs, rng.sample(range(1, 10 * len(arcs) + 10), len(arcs))))
+        _same_table(d.relabel(mapping), oracle_traversal.relabel(d, mapping))
+        _same_table(d.reversed(), oracle_traversal.reverse(d))
+        assert d.reversed().reversed() == d
+        if d.components() == 1 and d.crossings:
+            code = gauss_from_diagram(d)
+            _same_table(diagram_from_gauss(code), oracle_traversal.diagram_from_gauss(code))
+            round_trips += 1
+    for _ in range(4000):
+        code = _random_signed_code(rng)
+        d = diagram_from_gauss(code)
+        _same_table(d, oracle_traversal.diagram_from_gauss(code))
+        _same_table(d.reversed(), oracle_traversal.reverse(d))
+        unrealizable += not realizable(code)
+    assert round_trips > 500 and unrealizable > 2000
+    d = trefoil_diagram()
+    arcs = d.arcs()
+    with pytest.raises(ValueError):
+        d.relabel({a: min(a, arcs[1]) for a in arcs})
 
 
 def test_pass_table_traversals_match_slot_oracle():
@@ -491,7 +544,7 @@ def test_realizable_unsigned():
     assert realizable_unsigned([])
     with pytest.raises(BudgetExceededError):
         realizable_unsigned(
-            [(kind, label) for label in range(1, 18) for kind in ("O", "U")]
+            [(kind, label) for label in range(1, 402) for kind in ("O", "U")]
         )
     with pytest.raises(ParseError):
         parse_unsigned_gauss("O1 O1")

@@ -223,3 +223,18 @@ def test_interlaced_word_at_the_guard_is_fast():
     t0 = time.perf_counter()
     assert realizable_unsigned(word) is False
     assert time.perf_counter() - t0 < 0.1
+
+
+def test_words_at_the_unsigned_guard_decide_within_a_second():
+    # 400 labels, the guard. Both words are realizable, so every pair of
+    # labels is checked: labels nested one inside the next, and the
+    # T(2,399) closure word, whose labels are pairwise interlaced, inside
+    # one kink.
+    nested = [(OVER, k) for k in range(1, 401)] + [(UNDER, k) for k in range(400, 0, -1)]
+    interlaced = [(OVER, 400)] + [(OVER, k) for k in range(1, 400)]
+    interlaced += [(UNDER, k) for k in range(1, 401)]
+    for word in (nested, interlaced):
+        assert len({label for _, label in word}) == 400
+        t0 = time.perf_counter()
+        assert realizable_unsigned(word) is True
+        assert time.perf_counter() - t0 < 1.0
