@@ -301,6 +301,26 @@ def _cancel_bigons(d: PDDiagram) -> PDDiagram:
             return d
 
 
+def _reduce(d: PDDiagram) -> PDDiagram:
+    """Remove cancelling bigons and kinks until neither is left.
+
+    A kink is a crossing whose strand leaves it and comes straight back
+    (a Reidemeister-I loop). Smoothing it splits the loop off as one free
+    loop, which is dropped, so the link is unchanged; an isolated
+    1-crossing circle becomes one free loop.
+    """
+    while True:
+        d = _cancel_bigons(d)
+        succ = d._passes[1]
+        for x in range(len(d._signs)):
+            if succ[2 * x] == 2 * x + 1 or succ[2 * x + 1] == 2 * x:
+                s = d.smooth_crossing(x)
+                d = PDDiagram._derived(s._signs, *s._passes, s.free_loops - 1)
+                break
+        else:
+            return d
+
+
 def _first_violation(d: PDDiagram) -> int | None:
     """Index of the first crossing reached on its under-strand, if any.
 

@@ -12,11 +12,18 @@ deterministic base points (smallest arc id per component); the first
 crossing whose first visit enters on the under-strand is resolved, once
 switched (strictly closer to a descending diagram) and once smoothed
 (one crossing fewer). A descending diagram is a split unlink worth
-((a - a^-1) z^-1)^(m-1). Cancelling bigons (an opposite pair the two
-strands pull straight through) are removed exactly before resolving,
-which keeps plain recursion trees within the 2^c bound; subresults are
-memoized under the diagram's relabeling-invariant canonical key, which
-further turns those trees into shared DAGs.
+((a - a^-1) z^-1)^(m-1). Before a diagram is keyed or resolved, its
+cancelling bigons (an opposite pair the two strands pull straight
+through, a Reidemeister-II move) and its kinks (a crossing a strand
+leaves and comes straight back to, a Reidemeister-I move) are removed
+exactly, which keeps plain recursion trees within the 2^c bound. A kink
+costs no factor: at a kink added to a diagram K, the smoothing is K
+beside a split circle, so with the unlink factor (a - a^-1) z^-1 the
+relation reads a*P(K+) - a^-1*P(K-) = (a - a^-1)*P(K). P(K+) = P(K-) =
+P(K) satisfies it, and P is the invariant of the unframed link (HOMFLY,
+1985), so it does not see the kink. Subresults are memoized
+under the diagram's relabeling-invariant canonical key, which further
+turns those trees into shared DAGs.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import cmath
 from dataclasses import dataclass
 
 from .braid import BraidWord
-from .diagram import PDDiagram, _cancel_bigons, _first_violation, closure_to_diagram
+from .diagram import PDDiagram, _first_violation, _reduce, closure_to_diagram
 from .errors import BudgetExceededError
 from .laurent import LaurentPoly1, LaurentPoly2, specialize_jones
 
@@ -83,7 +90,7 @@ def _evaluate(
                 raise BudgetExceededError(
                     f"skein recursion exceeded {budget.max_nodes} nodes"
                 )
-            d = _cancel_bigons(item)
+            d = _reduce(item)
             key = None
             if memo is not None:
                 key = d.canonical_key()

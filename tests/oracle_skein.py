@@ -13,6 +13,7 @@ a*P(sigma_1) - a^-1*P(sigma_1^-1) = z*P(identity).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from knotqc.diagram import PDDiagram, _cancel_bigons, _first_violation
 from knotqc.errors import BudgetExceededError
@@ -51,7 +52,10 @@ TREFOIL = torus_closure_value(3)
 # The skein engine's evaluator as it stood before the post-order loop:
 # one frame per node, stage 0 resolves the diagram and stage 1 combines
 # the children's values. Kept verbatim as the reference for node order,
-# memo reads and writes, and the node and memo-hit counts.
+# memo reads and writes, and the node and memo-hit counts, except that
+# the step that simplifies each node's diagram is an argument: the
+# engine's diagram._reduce, or _cancel_bigons for the bigon-only
+# recursion the engine ran before kinks were removed too.
 DELTA = _mono(1, 1, -1) + _mono(-1, -1, -1)
 _A_SQ_INV = _mono(1, -2, 0)
 _A_INV_Z = _mono(1, -1, 1)
@@ -79,6 +83,7 @@ def _evaluate(
     budget: SkeinBudget,
     memo: dict[str, LaurentPoly2] | None,
     stats: SkeinStats,
+    reduce: Callable[[PDDiagram], PDDiagram],
 ) -> LaurentPoly2:
     top = _Frame(root)
     stack = [top]
@@ -90,7 +95,7 @@ def _evaluate(
                 raise BudgetExceededError(
                     f"skein recursion exceeded {budget.max_nodes} nodes"
                 )
-            f.diagram = _cancel_bigons(f.diagram)
+            f.diagram = reduce(f.diagram)
             if memo is not None:
                 f.key = f.diagram.canonical_key()
                 cached = memo.get(f.key)

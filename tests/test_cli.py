@@ -272,6 +272,21 @@ def test_burau_at_strand_bound_answers(capsys, t):
     assert InvariantReport.from_text(out).value.count("[") == 257
 
 
+def test_burau_letter_budget_refused_fast(capsys):
+    # The symbolic matrix is refused past 1,000 letters, the numeric one
+    # is not; a word at the bound is answered.
+    word = " ".join(["1 -1"] * 500)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "invariant", "--braid", word + " 1", "--invariant", "burau")
+    assert code == 2
+    assert "1001 letters" in err and "budget" in err and out == ""
+    assert time.perf_counter() - t0 < 1.0
+    code, out, _ = run(capsys, "invariant", "--braid", word, "--invariant", "burau")
+    assert code == 0 and InvariantReport.from_text(out).value == "[[1, 0], [0, 1]]"
+    argv = ["invariant", "--braid", word + " 1", "--invariant", "burau", "--t", "0.6+0.8i"]
+    assert run(capsys, *argv)[0] == 0
+
+
 def test_free_loops_budget_refused_fast(capsys):
     t0 = time.perf_counter()
     code, out, err = run(capsys, "invariant", "--braid", "n=1600 1", "--invariant", "jones")

@@ -7,7 +7,9 @@ from knotqc.diagram import (
     Crossing,
     GaussCode,
     PDDiagram,
+    _cancel_bigons,
     _first_violation,
+    _reduce,
     closure_to_diagram,
     diagram_from_gauss,
     euler_characteristic,
@@ -19,7 +21,7 @@ from knotqc.diagram import (
 )
 from knotqc.errors import BudgetExceededError, ParseError
 from knotqc.laurent import LaurentPoly2
-from knotqc.skein import _cancel_bigons, homfly, homfly_with_stats
+from knotqc.skein import DELTA, homfly, homfly_with_stats
 
 import oracle_closure
 import oracle_traversal
@@ -396,6 +398,66 @@ def test_bigon_cancellation_of_trap_diagram_is_pinned():
     assert ours.to_text() == "X 16 15 15 16 +1"
     assert slot.to_text() == "X 13 13 14 14 -1"
     assert homfly(ours) == homfly(slot) == homfly(d) == LaurentPoly2.one()
+
+
+def _closure(n, letters):
+    return closure_to_diagram(BraidWord(n, letters))
+
+
+@pytest.mark.parametrize("text", ["X 1 2 2 1 +1", "X 1 1 2 2 -1"])
+def test_reduce_turns_a_kinked_unknot_into_a_loop(text):
+    # A 1-crossing circle of either sign is one free loop.
+    d = PDDiagram.parse(text)
+    assert _cancel_bigons(d) == d
+    assert _reduce(d) == PDDiagram((), 1)
+    assert homfly(d) == LaurentPoly2.one()
+
+
+@pytest.mark.parametrize("kink", [2, -2])
+def test_reduce_removes_a_kink_and_keeps_the_rest(kink):
+    # The last letter is a kink of either sign on the trefoil, whose loop
+    # runs from the over-pass back to the under-pass (sigma_2) or from
+    # the under-pass back to the over-pass (sigma_2^-1): removing it
+    # leaves the trefoil's three crossings, their signs and their arcs.
+    d = _closure(3, (1, 1, 1, kink))
+    under_then_over, over_then_under = d._passes[1][6] == 7, d._passes[1][7] == 6
+    assert (under_then_over, over_then_under) == (kink < 0, kink > 0)
+    r = _reduce(d)
+    assert r._signs == [1, 1, 1] and r.free_loops == 0
+    assert set(r._passes[0]) <= set(d._passes[0])
+    assert r.canonical_key() == _closure(2, (1, 1, 1)).canonical_key()
+    assert homfly(r) == homfly(d)
+
+
+def test_reduce_removes_a_chain_of_kinks():
+    # Only the outer letters are kinks at first; each removal makes the
+    # next crossing one, until the unknot is a free loop.
+    d = _closure(4, (1, -2, 3))
+    succ = d._passes[1]
+    assert [x for x in range(3) if succ[2 * x] == 2 * x + 1 or succ[2 * x + 1] == 2 * x] == [0, 2]
+    assert _cancel_bigons(d) == d
+    assert _reduce(d) == PDDiagram((), 1)
+
+
+def test_reduce_cancels_the_bigon_a_kink_hid():
+    # sigma_1 is a kink, and once it is gone sigma_2^-1 sigma_2 is a
+    # cancelling bigon: the negative Hopf link sigma_3^-2 and a split
+    # unknot are left.
+    d = _closure(4, (-3, -3, -2, 1, 2))
+    assert _cancel_bigons(d) == d
+    r = _reduce(d)
+    assert r._signs == [-1, -1] and r.free_loops == 1
+    assert r.canonical_key() == _closure(2, (-1, -1)).canonical_key().replace("L0", "L1")
+    assert homfly(r) == homfly(d) == homfly(_closure(2, (-1, -1))) * DELTA
+
+
+def test_reduce_turns_a_split_kinked_circle_into_a_loop():
+    # Strands 3 and 4 close into a 1-crossing circle beside the trefoil.
+    d = _closure(4, (1, 1, 1, 3))
+    r = _reduce(d)
+    assert r._signs == [1, 1, 1] and r.free_loops == 1
+    assert r.canonical_key() == _closure(3, (1, 1, 1)).canonical_key()
+    assert homfly(r) == homfly(d)
 
 
 @pytest.mark.parametrize("sign", ["2", "0"])

@@ -216,7 +216,8 @@ def test_malformed_unsigned_input_is_a_value_error():
                 decide(bad)
 
 
-def test_interlaced_word_at_the_guard_is_fast():
+def test_word_of_eight_interlaced_pairs_decides_fast():
+    # Eight copies of the unrealizable interlaced pair O1 O2 U1 U2.
     text = " ".join(f"O{k} O{k + 1} U{k} U{k + 1}" for k in range(1, 17, 2))
     word = parse_unsigned_gauss(text)
     assert len({label for _, label in word}) == 16

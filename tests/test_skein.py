@@ -4,7 +4,14 @@ import random
 import pytest
 
 from knotqc.braid import BraidWord, random_braid
-from knotqc.diagram import PDDiagram, closure_to_diagram
+from knotqc.diagram import (
+    PDDiagram,
+    _cancel_bigons,
+    _reduce,
+    closure_to_diagram,
+    diagram_from_gauss,
+    gauss_from_diagram,
+)
 from knotqc.errors import BudgetExceededError
 from knotqc.laurent import LaurentPoly1, LaurentPoly2
 from knotqc import skein
@@ -28,6 +35,7 @@ from helpers import (
 import oracle_skein
 from oracle_canonical import pieces
 from oracle_skein import HOPF_POSITIVE, TREFOIL, UNKNOT, UNLINK2
+from test_diagram import BIGON_TRAP
 
 UNKNOT_WORD = BraidWord(1)
 UNLINK2_WORD = BraidWord(2)
@@ -266,12 +274,13 @@ def test_unmemoized_node_bound_on_torus_words():
 
 def test_skein_fingerprint_is_pinned():
     # Node and memo-hit counts of the memoized recursion; a canonical key
-    # that merged or split memo classes differently would move them.
+    # that merged or split memo classes differently, or a reduction that
+    # removed other kinks or bigons, would move them.
     cases = [
         (BraidWord(2, (1,) * 30), (59, 28)),
-        (BraidWord(3, (1, -2) * 8), (409, 193)),
-        (BraidWord(3, (1, 2) * 10), (775, 375)),
-        (random_braid(5, 22, 11), (943, 348)),
+        (BraidWord(3, (1, -2) * 8), (397, 188)),
+        (BraidWord(3, (1, 2) * 10), (747, 362)),
+        (random_braid(5, 22, 11), (217, 98)),
     ]
     for word, expected in cases:
         _, stats = homfly_with_stats(closure_to_diagram(word.free_reduce()))
@@ -281,7 +290,9 @@ def test_skein_fingerprint_is_pinned():
 def test_post_order_loop_matches_frame_oracle():
     # The post-order loop against the frame machine it replaced, with the
     # memo on, off, and shared across braids as a table request shares it:
-    # equal values, counts, and memo contents in insertion order.
+    # equal values, counts, and memo contents in insertion order. Words
+    # run to 13 letters, so that with kinks removed the shared memo still
+    # holds over a hundred diagrams.
     rng = random.Random(8)
     budget = SkeinBudget()
     shared, shared_oracle = {}, {}
@@ -290,13 +301,13 @@ def test_post_order_loop_matches_frame_oracle():
         n = rng.randrange(2, 6)
         gens = rng.sample(range(1, n), rng.randrange(1, n))
         letters = tuple(
-            rng.choice(gens) * rng.choice((1, -1)) for _ in range(rng.randrange(0, 10))
+            rng.choice(gens) * rng.choice((1, -1)) for _ in range(rng.randrange(0, 14))
         )
         d = closure_to_diagram(BraidWord(n, letters).free_reduce())
         for memo, oracle_memo in (({}, {}), (None, None), (shared, shared_oracle)):
             stats, oracle_stats = SkeinStats(), SkeinStats()
             value = skein._evaluate(d, budget, memo, stats)
-            assert value == oracle_skein._evaluate(d, budget, oracle_memo, oracle_stats)
+            assert value == oracle_skein._evaluate(d, budget, oracle_memo, oracle_stats, _reduce)
             assert stats == oracle_stats
             if memo is not None:
                 assert list(memo.items()) == list(oracle_memo.items())
@@ -305,3 +316,34 @@ def test_post_order_loop_matches_frame_oracle():
         mixed += min(letters, default=0) < 0 < max(letters, default=0)
     assert split > 20 and multi > 20 and mixed > 20
     assert len(shared) > 100
+
+
+def test_kink_removal_keeps_values_and_never_adds_nodes():
+    # Against the bigon-only recursion the engine ran before kinks were
+    # removed: equal values, and no more nodes, on closures of 2-6 strands,
+    # their Gauss round trips and the bigon trap diagram.
+    rng = random.Random(20)
+    budget = SkeinBudget()
+    inputs = [PDDiagram.parse(BIGON_TRAP)]
+    for _ in range(480):
+        n = rng.randrange(2, 7)
+        gens = rng.sample(range(1, n), rng.randrange(1, n))
+        letters = tuple(
+            rng.choice(gens) * rng.choice((1, -1)) for _ in range(rng.randrange(0, 17))
+        )
+        d = closure_to_diagram(BraidWord(n, letters))
+        inputs.append(d)
+        if d.components() == 1 and d._signs:
+            inputs.append(diagram_from_gauss(gauss_from_diagram(d)))
+    split = multi = loops = fewer = 0
+    for d in inputs:
+        value, stats = homfly_with_stats(d)
+        oracle_stats = SkeinStats()
+        assert value == oracle_skein._evaluate(d, budget, {}, oracle_stats, _cancel_bigons)
+        assert stats.nodes <= oracle_stats.nodes
+        fewer += stats.nodes < oracle_stats.nodes
+        split += len(pieces(d)) + d.free_loops > 1
+        multi += d.components() > 1
+        loops += bool(d.free_loops and d._signs)
+    assert len(inputs) - 481 > 60
+    assert split > 100 and multi > 100 and loops > 50 and fewer > 200
