@@ -257,6 +257,24 @@ def _knot_words(n: int, length: int):
                     yield prefix + (e,)
 
 
+def _rotation_key(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The least cyclic shift of a word, found among the shifts that start
+    at its least letter."""
+    low = min(letters)
+    return min(letters[k:] + letters[:k] for k, e in enumerate(letters) if e == low)
+
+
+def _symmetric_words(n: int, letters: tuple[int, ...]):
+    """(word, mirrored) for the eight images of a word on n strands under
+    reversal, the flip +-i -> +-(n - i) and the mirror, which negates every
+    letter; `mirrored` says whether the closure is the mirror image."""
+    flip = tuple(n - e if e > 0 else -n - e for e in letters)
+    for word in (letters, flip):
+        for image in (word, word[::-1]):
+            yield image, False
+            yield tuple(-e for e in image), True
+
+
 def cmd_table(args) -> int:
     n, maxlen = args.strands, args.maxlen
     if n < 2:
@@ -285,18 +303,33 @@ def cmd_table(args) -> int:
     # Rotation keeps the closure, so the knot test comes before the key and
     # only knot words are keyed. Keys are least cyclic shifts (which start
     # at a least letter) and have their word's length, so they never recur
-    # across lengths. Each distinct HOMFLY value is specialized to Jones
-    # once per request.
+    # across lengths.
+    # The skein runs once per orbit of a class under three symmetries that
+    # keep length, free reduction and the knot test: reversal and the flip
+    # i -> n - i close to the link turned by pi about the plane's horizontal
+    # and vertical axes (reversal also reverses the knot, which HOMFLY does
+    # not see), and the mirror, every letter negated, closes to the mirror
+    # image, whose HOMFLY is P(-a^-1, z). The orbit's other classes, at most
+    # seven, take their value from `pending` when they are met, so every
+    # class still joins its group in enumeration order. Each distinct HOMFLY
+    # value of a request is specialized to Jones once.
     for length in range((n - 1) % 2, maxlen + 1, 2):
         seen: set[tuple[int, ...]] = set()
+        pending: dict = {}
         for letters in _knot_words(n, length):
-            low = min(letters)
-            key = min(letters[k:] + letters[:k] for k, e in enumerate(letters) if e == low)
+            key = _rotation_key(letters)
             if key in seen:
                 continue
             seen.add(key)
             word = BraidWord(n, letters)
-            value = skein.homfly(word, budget, memo)
+            value = pending.pop(key, None)
+            if value is None:
+                value = skein.homfly(word, budget, memo)
+                mirror = value.mirror()
+                for image, mirrored in _symmetric_words(n, letters):
+                    image_key = _rotation_key(image)
+                    if image_key not in seen:
+                        pending[image_key] = mirror if mirrored else value
             if value not in jones:
                 jones[value] = specialize_jones(value).to_text("s")
             groups.setdefault(jones[value], []).append(word.to_text())

@@ -156,6 +156,10 @@ class LaurentPoly2(_Laurent):
             raise ValueError("evaluation point must be nonzero (negative exponents)")
         return sum(c * a**i * z**j for (i, j), c in self.terms.items()) + 0j
 
+    def mirror(self) -> "LaurentPoly2":
+        """P(-a^-1, z), the value of the mirror image: a^i z^j -> (-1)^i a^-i z^j."""
+        return LaurentPoly2({(-i, j): -c if i % 2 else c for (i, j), c in self.terms.items()})
+
     def coeff_z(self, k: int) -> LaurentPoly1:
         """The a-polynomial multiplying z**k; zero polynomial if absent."""
         return LaurentPoly1({i: c for (i, j), c in self.terms.items() if j == k})

@@ -405,7 +405,9 @@ def test_table_arguments_checked_before_guard(capsys, argv):
     assert out == "" and "table guard" not in err
 
 
-@pytest.mark.parametrize("strands,maxlen", [(2, 10), (3, 5), (3, 6), (4, 5)])
+@pytest.mark.parametrize(
+    "strands,maxlen", [(2, 10), (3, 5), (3, 6), (3, 7), (4, 4), (4, 5)]
+)
 def test_table_matches_all_words_oracle(capsys, strands, maxlen):
     code, out, _ = run(
         capsys, "table", "--strands", str(strands), "--maxlen", str(maxlen)
@@ -449,9 +451,12 @@ def test_table_does_only_the_work_a_knot_can_need(capsys, monkeypatch):
         evaluated.clear()
         specialized.clear()
         assert run(capsys, "table", "--strands", str(n), "--maxlen", str(maxlen))[0] == 0
-        assert len(specialized) == len(set(specialized)) == len(set(evaluated))
+        # Each distinct value is specialized once; mirror images are
+        # specialized but never evaluated.
+        assert len(specialized) == len(set(specialized))
+        assert set(evaluated) <= set(specialized)
         counts[n, maxlen] = (len(evaluated), len(specialized))
-    assert counts == {(4, 5): (480, 4), (4, 6): (480, 4), (3, 6): (290, 14)}
+    assert counts == {(4, 5): (64, 4), (4, 6): (64, 4), (3, 6): (48, 14)}
 
 
 def test_table_word_count_is_exact():

@@ -234,6 +234,33 @@ def test_mirror_property():
         assert q == mapped
 
 
+def test_braid_symmetries_give_the_table_its_values():
+    # The identities `knotqc table` reads a class's value from: the
+    # reversed word and the flipped word (+-i -> +-(n - i)) close to the
+    # same link up to reversing every component, and the negated word to
+    # the mirror image, P(-a^-1, z), whose Jones is V(s^-1).
+    rng = random.Random(21)
+    split = multi = 0
+    for _ in range(240):
+        n = rng.randrange(2, 6)
+        gens = rng.sample(range(1, n), rng.randrange(1, n))
+        letters = tuple(
+            rng.choice(gens) * rng.choice((1, -1)) for _ in range(rng.randrange(0, 13))
+        )
+        p = homfly_braid(BraidWord(n, letters))
+        flipped = tuple(n - e if e > 0 else -n - e for e in letters)
+        negated = BraidWord(n, tuple(-e for e in letters))
+        assert homfly_braid(BraidWord(n, letters[::-1])) == p
+        assert homfly_braid(BraidWord(n, flipped)) == p
+        assert homfly_braid(negated) == p.mirror()
+        v = jones(BraidWord(n, letters))
+        assert jones(negated) == LaurentPoly1({-e: c for e, c in v.terms.items()})
+        d = closure_to_diagram(BraidWord(n, letters).free_reduce())
+        split += len(pieces(d)) + d.free_loops > 1
+        multi += d.components() > 1
+    assert split > 20 and multi > 20
+
+
 def test_memo_and_plain_agree():
     rng = random.Random(23)
     for _ in range(15):
