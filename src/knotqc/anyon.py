@@ -278,11 +278,6 @@ def _project_pair(n: int, total: int, amp: np.ndarray, a: int, channel: int) -> 
     return vacuum if channel == VACUUM else amp - vacuum
 
 
-def _pair_vacuum_probability(n: int, total: int, amp: np.ndarray, a: int) -> float:
-    projected = _project_pair(n, total, amp, a, VACUUM)
-    return float(np.vdot(projected, projected).real)
-
-
 def fusion_probabilities(
     state: AnyonState, qubit: int, layout: QubitLayout
 ) -> tuple[float, float]:
@@ -290,7 +285,8 @@ def fusion_probabilities(
     if not 0 <= qubit < layout.qubits:
         raise ValueError(f"no qubit {qubit} in layout")
     a = layout.quartets[qubit][0]
-    p0 = _pair_vacuum_probability(state.n, state.total, state.amplitudes, a)
+    vacuum = _project_pair(state.n, state.total, state.amplitudes, a, VACUUM)
+    p0 = float(np.vdot(vacuum, vacuum).real)
     return p0, 1.0 - p0
 
 

@@ -8,6 +8,7 @@ kept as-is; equality beyond free reduction is delegated to invariants.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 
 from .errors import ParseError
@@ -149,24 +150,27 @@ class BraidWord:
         return f"BraidWord({self.to_text()})"
 
 
+# An optionally signed ASCII decimal integer, as every text format writes
+# one: int() alone would also take "1_0" and digits such as "٣".
+_INT = re.compile(r"[+-]?[0-9]+")
+
+
 def parse_braid(text: str) -> BraidWord:
     """Whitespace-separated signed integers, optional "n=<k>" prefix."""
     tokens = text.split()
     strands = None
     if tokens and tokens[0].startswith("n="):
-        try:
-            strands = int(tokens[0][2:])
-        except ValueError:
-            raise ParseError(f"bad strand count {tokens[0]!r}") from None
+        if not _INT.fullmatch(tokens[0], 2):
+            raise ParseError(f"bad strand count {tokens[0]!r}")
+        strands = int(tokens[0][2:])
         if strands < 1:
             raise ParseError(f"strand count must be positive, got {strands}")
         tokens = tokens[1:]
     letters = []
     for tok in tokens:
-        try:
-            e = int(tok)
-        except ValueError:
-            raise ParseError(f"bad braid letter {tok!r}") from None
+        if not _INT.fullmatch(tok):
+            raise ParseError(f"bad braid letter {tok!r}")
+        e = int(tok)
         if e == 0:
             raise ParseError("0 is not a braid letter (generators start at 1)")
         letters.append(e)

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .braid import BraidWord, _cycle_count
+from .braid import _INT, BraidWord, _cycle_count
 from .errors import BudgetExceededError, ParseError
 
 OVER = "O"
@@ -219,10 +219,10 @@ class PDDiagram:
                 loops += 1
                 continue
             parts = line.split()
-            if parts[0] != "X" or len(parts) != 6:
+            if parts[0] != "X" or len(parts) != 6 or not all(map(_INT.fullmatch, parts[1:])):
                 raise ParseError(f"bad diagram line {line!r}")
+            a, b, c, d, s = map(int, parts[1:])
             try:
-                a, b, c, d, s = (int(p) for p in parts[1:])
                 crossings.append(Crossing((a, b, c, d), s))
             except ValueError:
                 raise ParseError(f"bad diagram line {line!r}") from None
@@ -441,7 +441,7 @@ class GaussCode:
         return f"GaussCode({self.to_text()})"
 
 
-_GAUSS_TOKEN = re.compile(r"\s*([OUou])\s*(\d+)(?:\s*([+-]))?")
+_GAUSS_TOKEN = re.compile(r"\s*([OUou])\s*([0-9]+)(?:\s*([+-]))?")
 
 
 def _parse_code(text: str, signed: bool) -> GaussCode:

@@ -8,13 +8,26 @@ overflows.
 
 Text form: "-a^-4 + 2*a^-2 + a^-2*z^2". One-variable polynomials print
 highest exponent first; two-variable polynomials print in ascending
-(a-exponent, z-exponent) order. The same grammar parses back.
+(a-exponent, z-exponent) order. Both parse back through one grammar:
+
+    poly   := [ [sign] term (sign term)* ]
+    term   := factor ( ["*"] factor )*
+    factor := integer | letter [ "^" ["-"] integer ]
+    sign   := "+" | "-"
+
+An integer is ASCII decimal digits and a letter is one character for
+which str.isalpha holds. Whitespace (str.isspace) may stand between
+tokens, but not inside "letter^-integer". A term is its sign times the
+product of its factors, so "2 3 s" is 6*s and "s^2*s^-2" is 1; blank
+text is zero. LaurentPoly1 takes any one letter as its variable,
+LaurentPoly2 the letters a and z. Any other text is a ParseError.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import re
 
 from .errors import ParseError
 
@@ -120,15 +133,12 @@ class LaurentPoly1(_Laurent):
     def parse(cls, text: str) -> "LaurentPoly1":
         """Parse the canonical text form; any single letter may be the variable."""
         terms: dict[int, int] = {}
-        seen_var = None
-        for coeff, factors in _scan_terms(text):
-            exp = 0
-            for v, e in factors:
-                if seen_var is None:
-                    seen_var = v
-                elif v != seen_var:
-                    raise ParseError(f"mixed variables {seen_var!r} and {v!r} in one-variable polynomial")
-                exp += e
+        letters: set[str] = set()
+        for coeff, powers in _scan_terms(text):
+            letters.update(powers)
+            if len(letters) > 1:
+                raise ParseError(f"mixed variables {sorted(letters)} in one-variable polynomial")
+            exp = sum(powers.values())
             terms[exp] = terms.get(exp, 0) + coeff
         return cls(terms)
 
@@ -179,16 +189,10 @@ class LaurentPoly2(_Laurent):
     @classmethod
     def parse(cls, text: str) -> "LaurentPoly2":
         terms: dict[tuple[int, int], int] = {}
-        for coeff, factors in _scan_terms(text):
-            a_exp = z_exp = 0
-            for v, e in factors:
-                if v == "a":
-                    a_exp += e
-                elif v == "z":
-                    z_exp += e
-                else:
-                    raise ParseError(f"unknown variable {v!r}, expected a or z")
-            key = (a_exp, z_exp)
+        for coeff, powers in _scan_terms(text):
+            if not powers.keys() <= {"a", "z"}:
+                raise ParseError(f"unknown variable in {sorted(powers)}, expected a or z")
+            key = (powers.get("a", 0), powers.get("z", 0))
             terms[key] = terms.get(key, 0) + coeff
         return cls(terms)
 
@@ -220,67 +224,34 @@ def _render_terms(items) -> str:
     return " ".join(parts)
 
 
-_DIGITS = "0123456789"
+# A factor is an ASCII integer, or a letter with an optional exponent.
+# [^\W\d_] also admits numerals that are not letters, such as "²", so the
+# scanner checks str.isalpha on each letter it reads.
+_FACTOR = re.compile(r"([0-9]+)|([^\W\d_])(?:\^(-?[0-9]+))?")
+_TERM = re.compile(r"([+-]?)\s*((?:{0})(?:\s*\*?\s*(?:{0}))*)\s*".format(_FACTOR.pattern))
 
 
 def _scan_terms(text: str):
-    """Yield (coefficient, [(var, exp), ...]) for each term of the grammar.
+    """Yield (coefficient, {letter: exponent}) for each term of the grammar.
 
-    Integers are ASCII decimal digits only: str.isdigit also admits
-    characters such as superscripts that int() rejects.
+    _TERM takes every factor that follows, so each later term starts at
+    its sign.
     """
-    i, n = 0, len(text)
-
-    def skip_ws(i):
-        while i < n and text[i].isspace():
-            i += 1
-        return i
-
-    def read_int(i):
-        j = i
-        if j < n and text[j] == "-":
-            j += 1
-        if j >= n or text[j] not in _DIGITS:
-            raise ParseError(f"expected integer at position {i} in {text!r}")
-        while j < n and text[j] in _DIGITS:
-            j += 1
-        return int(text[i:j]), j
-
-    i = skip_ws(i)
-    first = True
-    while i < n:
-        sign = 1
-        if text[i] in "+-":
-            sign = -1 if text[i] == "-" else 1
-            i = skip_ws(i + 1)
-        elif not first:
-            raise ParseError(f"expected '+' or '-' at position {i} in {text!r}")
-        first = False
-        coeff = None
-        factors: list[tuple[str, int]] = []
-        while i < n:
-            ch = text[i]
-            if ch in _DIGITS:
-                value, i = read_int(i)
-                coeff = value if coeff is None else coeff * value
-            elif ch.isalpha():
-                var = ch
-                i += 1
-                exp = 1
-                if i < n and text[i] == "^":
-                    exp, i = read_int(i + 1)
-                factors.append((var, exp))
+    text, pos = text.strip(), 0
+    while pos < len(text):
+        m = _TERM.match(text, pos)
+        if m is None:
+            raise ParseError(f"bad polynomial term at {text[pos:]!r} in {text!r}")
+        coeff, powers = -1 if m[1] == "-" else 1, {}
+        for digits, letter, exp in _FACTOR.findall(m[2]):
+            if digits:
+                coeff *= int(digits)
+            elif letter.isalpha():
+                powers[letter] = powers.get(letter, 0) + int(exp or 1)
             else:
-                break
-            i = skip_ws(i)
-            if i < n and text[i] == "*":
-                i = skip_ws(i + 1)
-                if i >= n or not (text[i] in _DIGITS or text[i].isalpha()):
-                    raise ParseError(f"dangling '*' in {text!r}")
-        if coeff is None and not factors:
-            raise ParseError(f"empty term in {text!r}")
-        yield sign * (1 if coeff is None else coeff), factors
-        i = skip_ws(i)
+                raise ParseError(f"{letter!r} is not a letter in {text!r}")
+        yield coeff, powers
+        pos = m.end()
 
 
 def exact_div(num: LaurentPoly1, den: LaurentPoly1) -> LaurentPoly1:

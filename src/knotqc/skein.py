@@ -163,12 +163,7 @@ def homfly(
     return homfly_with_stats(obj, budget, memo)[0]
 
 
-def homfly_braid(
-    b: BraidWord,
-    budget: SkeinBudget | None = None,
-    memo: dict[str, LaurentPoly2] | None = None,
-) -> LaurentPoly2:
-    return homfly(b, budget, memo)
+homfly_braid = homfly
 
 
 def jones(obj, budget: SkeinBudget | None = None) -> LaurentPoly1:

@@ -283,9 +283,8 @@ def test_total_charge_conservation_determines_second_pair():
             continue
         vec = vec / norm
         # partner pair (3,4) must fuse to the same channel: q2 = channel forces it
-        from knotqc.anyon import _pair_vacuum_probability
-
-        partner_p0 = _pair_vacuum_probability(4, VACUUM, vec, 3)
+        partner = _project_pair(4, VACUUM, vec, 3, VACUUM)
+        partner_p0 = np.vdot(partner, partner).real
         assert abs(partner_p0 - (1.0 if channel == VACUUM else 0.0)) < 1e-10
 
 

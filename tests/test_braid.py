@@ -28,6 +28,14 @@ def test_parse_errors():
         parse_braid("n=0 ")
 
 
+def test_integers_are_ascii_decimal():
+    # int() would read "1_0" as 10 and "٣" (Arabic-Indic three) as 3.
+    assert parse_braid("n=+3 +1 -2") == BraidWord(3, (1, -2))
+    for bad in ("1_0", "٣", "n=٣ 1", "n=3_0 1", "1 ²"):
+        with pytest.raises(ParseError):
+            parse_braid(bad)
+
+
 def test_text_round_trip():
     rng = random.Random(0)
     for _ in range(20):

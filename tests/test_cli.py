@@ -93,6 +93,13 @@ def test_parse_error_exit(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("braid", ["1_0", "٣"])
+def test_braid_letters_are_ascii_decimal(capsys, braid):
+    code, out, err = run(capsys, "invariant", "--braid", braid, "--invariant", "jones")
+    assert (code, out) == (1, "")
+    assert "bad braid letter" in err
+
+
 def test_budget_exit(capsys):
     code, _, err = run(
         capsys,

@@ -475,6 +475,11 @@ def test_pd_text_round_trip():
         PDDiagram.parse("X 1 2 3")
     with pytest.raises(ParseError):
         PDDiagram.parse("X 1 2 3 4 +1\n")  # arc seen once
+    # Integers are ASCII decimal with an optional sign: not "١", not "1_0".
+    assert PDDiagram.parse("X +1 2 2 1 +1") == PDDiagram.parse("X 1 2 2 1 1")
+    for bad in ("X ١ 2 2 1 +1", "X 1 2 2 1_0 +1", "X 1 2 2 1 +١"):
+        with pytest.raises(ParseError, match="bad diagram line"):
+            PDDiagram.parse(bad)
 
 
 def test_diagram_validation():
@@ -562,6 +567,11 @@ def test_parse_gauss_errors():
         parse_gauss("O1+U1+O2+")
     with pytest.raises(ParseError):
         parse_gauss("Q1+")
+    # Labels are ASCII decimal: "١" is Arabic-Indic one.
+    assert parse_gauss("O1+U1+") == GaussCode((("O", 1, 1), ("U", 1, 1)))
+    for bad in ("O١+U١+", "O1+U١+"):
+        with pytest.raises(ParseError):
+            parse_gauss(bad)
 
 
 def test_realizable_trefoil():

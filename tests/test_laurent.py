@@ -252,6 +252,68 @@ def test_parse_errors():
         LaurentPoly2.parse("2²")
 
 
+def test_grammar_cases():
+    for blank in ("", " ", " \t\n "):
+        assert LaurentPoly1.parse(blank) == LaurentPoly1.zero()
+        assert LaurentPoly2.parse(blank) == LaurentPoly2.zero()
+    # Juxtaposed factors multiply, with or without whitespace between them.
+    assert LaurentPoly1.parse("2 3 s") == LaurentPoly1({1: 6})
+    assert LaurentPoly2.parse("2a^2") == LaurentPoly2.parse("2*a^2") == LaurentPoly2({(2, 0): 2})
+    assert LaurentPoly1.parse("s^2*s^-2") == LaurentPoly1.one()
+    # Any one letter is the variable of a one-variable polynomial.
+    assert LaurentPoly1.parse("α^2 - 3α") == LaurentPoly1({2: 1, 1: -3})
+    with pytest.raises(ParseError):
+        LaurentPoly1.parse("s + t")
+    for bad in ("*s", "s*", "s^ 2"):
+        for cls in (LaurentPoly1, LaurentPoly2):
+            with pytest.raises(ParseError):
+                cls.parse(bad.replace("s", "a"))
+
+
+# Factors, signs and separators, plus characters near the grammar's edges:
+# "_", non-ASCII letters, a combining mark and digits that are not ASCII
+# (Arabic-Indic three, superscript two, Roman numeral eight).
+_FUZZ_FACTORS = ("2", "13", "0", "007", "s", "a", "z", "a", "z", "t", "α", "é", "ǅ",
+                 "s^2", "a^-3", "z^10", "a^0", "é^-1")
+_FUZZ_PIECES = _FUZZ_FACTORS + ("^", "^-", "*", " * ", "+", " + ", "-", " - ", " ",
+                                "\t", "\n", "_", "\u0301", "٣", "²", "Ⅷ")
+
+
+def _polynomial_fuzz_text(rng):
+    if rng.random() < 0.3:
+        return "".join(rng.choice(_FUZZ_PIECES) for _ in range(rng.randrange(0, 10)))
+    text = rng.choice(("", "-", "+", " - "))
+    for k in range(rng.randrange(0, 4)):
+        if k:
+            text += rng.choice(("+", "-", " + ", " - ", "\t-\n"))
+        factors = [rng.choice(_FUZZ_FACTORS) for _ in range(rng.randrange(1, 4))]
+        text += rng.choice(("*", "", " ", " * ", "\t")).join(factors)
+    if rng.random() < 0.5:
+        j = rng.randrange(len(text) + 1)
+        text = text[:j] + rng.choice(_FUZZ_PIECES) + text[j + rng.randrange(2):]
+    return text
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError:
+        return ParseError
+
+
+def test_parsers_match_frozen_scanner_on_fuzz():
+    rng = random.Random(2718)
+    accepted = {LaurentPoly1: 0, LaurentPoly2: 0}
+    for _ in range(20_000):
+        text = _polynomial_fuzz_text(rng)
+        for cls, oracle in ((LaurentPoly1, oracle_laurent.parse1),
+                            (LaurentPoly2, oracle_laurent.parse2)):
+            got = _parse_outcome(cls.parse, text)
+            assert got == _parse_outcome(oracle, text), text
+            accepted[cls] += got is not ParseError
+    assert all(2_000 < n < 18_000 for n in accepted.values()), accepted
+
+
 def test_views_stay_distinct_types():
     assert LaurentPoly1.zero() != LaurentPoly2.zero()
     assert LaurentPoly1.one() != LaurentPoly2.one()
