@@ -12,13 +12,14 @@ import argparse
 import cmath
 import dataclasses
 import functools
+import itertools
 import math
 import os
 import sys
 import time
 
 from .anyon import jones_estimate
-from .braid import BraidWord, _cycle_count, parse_braid
+from .braid import _INT, BraidWord, _cycle_count, parse_braid
 from .burau import burau_numeric, burau_symbolic
 from .diagram import (
     diagram_from_gauss,
@@ -61,11 +62,18 @@ def _parse_complex(text: str) -> complex:
     return z
 
 
+def _decimal(text: str) -> int:
+    """An integer option or KNOT_BUDGET, read as braid text reads one."""
+    if not _INT.fullmatch(text):
+        raise ParseError(f"{text!r} is not an ASCII decimal integer")
+    return int(text)
+
+
 def _default_budget(args) -> SkeinBudget:
     nodes = getattr(args, "budget", None)
     if nodes is None:
         env = os.environ.get("KNOT_BUDGET")
-        nodes = int(env) if env else None
+        nodes = _decimal(env) if env else None
     if nodes is None:
         return SkeinBudget()
     return SkeinBudget(max_nodes=nodes)
@@ -224,37 +232,73 @@ def _table_word_count(n: int, maxlen: int) -> int:
     return 1 + sum(2 * (n - 1) * (2 * n - 3) ** (k - 1) for k in range(1, maxlen + 1))
 
 
-def _reduced_words(alphabet: list[int], length: int):
-    """Freely reduced words of one length, lexicographic in alphabet order."""
-    if length == 0:
-        yield ()
-        return
-    for prefix in _reduced_words(alphabet, length - 1):
-        last = prefix[-1] if prefix else 0
-        for e in alphabet:
-            if e != -last:
-                yield prefix + (e,)
+@functools.cache  # built on first use, not at import
+def _strand_steps(n: int) -> tuple[list[list[int]], list[bool]]:
+    """The strand orders of n strands, numbered with the identity as 0:
+    steps[s][j] is the order that order s goes to under letter j of the
+    alphabet -(n-1), ..., -1, 1, ..., n-1, and knots[s] says whether order
+    s is one n-cycle."""
+    orders = list(itertools.permutations(range(n)))
+    number = {order: s for s, order in enumerate(orders)}
+    swaps = [*range(n - 2, -1, -1), *range(n - 1)]  # letter j swaps i and i + 1
+    steps = [[number[o[:i] + (o[i + 1], o[i]) + o[i + 2:]] for i in swaps] for o in orders]
+    return steps, [_cycle_count(list(o)) == 1 for o in orders]
 
 
-def _knot_words(n: int, length: int):
-    """The words of `_reduced_words` of one length on n strands whose closure
-    is a knot, in the same order. A closure is a knot when the strand order
-    the word ends in is one n-cycle. The order of each prefix is computed
-    once and shared by its extensions, so a rejected word costs one swap
-    and no BraidWord."""
-    if length == 0:
-        return  # the empty word closes to an unlink of n >= 2 components
-    alphabet = [e for i in range(1, n) for e in (i, -i)]
-    for prefix in _reduced_words(alphabet, length - 1):
-        at = BraidWord(n, prefix)._strand_at()
-        last = prefix[-1] if prefix else 0
-        for e in alphabet:
-            if e != -last:
-                i = abs(e) - 1
-                order = at.copy()
-                order[i], order[i + 1] = order[i + 1], order[i]
-                if _cycle_count(order) == 1:
-                    yield prefix + (e,)
+def _knot_classes(n: int, length: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(first word, key) for each rotation class of the freely reduced words
+    of one length on n strands whose closure is a knot, ordered by first
+    word, lexicographic in the alphabet 1, -1, 2, -2, ...
+
+    The key is the class's least rotation (`_rotation_key`). A class holds
+    a freely reduced word only when its cyclic word has at most one
+    cancelling pair; with one, the first word is the one rotation that
+    splits that pair, else the class's least rotation in that alphabet.
+    Keys are generated once each, as necklaces, by the recursion of
+    Fredricksen, Kessler and Maiorana (Ruskey, Savage and Wang, J.
+    Algorithms 1992): a[1..t] is a prefix of a necklace whose least
+    period is p, and letter j extends it when j >= a[t+1-p]. A prefix
+    with two cancelling pairs is not extended."""
+    letters = [*range(1 - n, 0), *range(1, n)]
+    top = len(letters) - 1  # letters j and top - j cancel
+    rank = [2 * abs(e) - (e > 0) for e in letters]  # place in 1, -1, 2, ...
+    steps, knots = _strand_steps(n)
+    a = [0] * (length + 1)
+    found = []
+
+    def extend(t, p, order, cut):
+        # a[1..t-1] is set; cut is the t of its one cancelling pair's second
+        # letter, or 0
+        row = steps[order]
+        for j in range(a[t - p], top + 1):
+            cancels = t > 1 and a[t - 1] + j == top
+            if cancels and cut:
+                continue
+            a[t] = j
+            q = p if j == a[t - p] else t
+            if t < length:
+                extend(t + 1, q, row[j], t if cancels else cut)
+            elif not length % q and knots[row[j]]:
+                finish(t if cancels else cut)
+
+    def finish(cut):
+        word = a[1:]
+        wrap = word[-1] + word[0] == top
+        if wrap and cut:
+            return
+        ranks = list(map(rank.__getitem__, word))
+        if wrap or cut:
+            s = cut - 1 if cut else 0
+            first = ranks[s:] + ranks[:s]
+        else:
+            low = min(ranks)
+            first, s = min((ranks[s:] + ranks[:s], s) for s, r in enumerate(ranks) if r == low)
+        found.append((first, s, tuple(map(letters.__getitem__, word))))
+
+    if length:
+        extend(1, 1, 0, 0)
+    found.sort()
+    return [(key[s:] + key[:s], key) for _, s, key in found]
 
 
 def _rotation_key(letters: tuple[int, ...]) -> tuple[int, ...]:
@@ -294,51 +338,47 @@ def cmd_table(args) -> int:
     budget = _default_budget(args)
     memo: dict = {}
     jones: dict = {}
-    groups: dict[str, list[str]] = {}
+    groups: dict[str, list] = {}  # Jones text -> [size, rep text]
     # A word that is not freely reduced has the key of its free reduction,
-    # a shorter word met at an earlier length, so only reduced words are
-    # enumerated; the budget above counts all of them. A knot's strand
-    # order is an n-cycle, of sign (-1)^(n-1), and a word of length L has
-    # sign (-1)^L, so only lengths of the parity of n - 1 can hold a knot.
-    # Rotation keeps the closure, so the knot test comes before the key and
-    # only knot words are keyed. Keys are least cyclic shifts (which start
-    # at a least letter) and have their word's length, so they never recur
-    # across lengths.
+    # a shorter word met at an earlier length, so only reduced words count;
+    # the budget above counts all of them. A knot's strand order is an
+    # n-cycle, of sign (-1)^(n-1), and a word of length L has sign (-1)^L,
+    # so only lengths of the parity of n - 1 can hold a knot. Rotation
+    # keeps the closure, so each rotation class is met once, as the first
+    # of its words in lexicographic order (`_knot_classes`); keys have
+    # their word's length, so they never recur across lengths.
     # The skein runs once per orbit of a class under three symmetries that
     # keep length, free reduction and the knot test: reversal and the flip
     # i -> n - i close to the link turned by pi about the plane's horizontal
     # and vertical axes (reversal also reverses the knot, which HOMFLY does
     # not see), and the mirror, every letter negated, closes to the mirror
-    # image, whose HOMFLY is P(-a^-1, z). The orbit's other classes, at most
-    # seven, take their value from `pending` when they are met, so every
-    # class still joins its group in enumeration order. Each distinct HOMFLY
-    # value of a request is specialized to Jones once.
+    # image, whose HOMFLY is P(-a^-1, z). An evaluated class is the first
+    # of its orbit, so the orbit's other classes, at most seven, are met
+    # later and take their value from `pending`; every class still joins
+    # its group in order. Each distinct HOMFLY value of a request is
+    # specialized to Jones once.
     for length in range((n - 1) % 2, maxlen + 1, 2):
-        seen: set[tuple[int, ...]] = set()
         pending: dict = {}
-        for letters in _knot_words(n, length):
-            key = _rotation_key(letters)
-            if key in seen:
-                continue
-            seen.add(key)
-            word = BraidWord(n, letters)
+        for letters, key in _knot_classes(n, length):
             value = pending.pop(key, None)
             if value is None:
-                value = skein.homfly(word, budget, memo)
+                value = skein.homfly(BraidWord(n, letters), budget, memo)
                 mirror = value.mirror()
                 for image, mirrored in _symmetric_words(n, letters):
-                    image_key = _rotation_key(image)
-                    if image_key not in seen:
-                        pending[image_key] = mirror if mirrored else value
-            if value not in jones:
-                jones[value] = specialize_jones(value).to_text("s")
-            groups.setdefault(jones[value], []).append(word.to_text())
+                    pending[_rotation_key(image)] = mirror if mirrored else value
+            text = jones.get(value)
+            if text is None:
+                text = jones[value] = specialize_jones(value).to_text("s")
+            if text in groups:
+                groups[text][0] += 1
+            else:
+                groups[text] = [1, BraidWord(n, letters).to_text()]
     print(f"strands={n}")
     print(f"maxlen={maxlen}")
     print(f"groups={len(groups)}")
-    for poly in sorted(groups, key=lambda p: (len(groups[p][0]), p)):
-        members = groups[poly]
-        print(f"group jones={poly!r} size={len(members)} rep={members[0]!r}")
+    for poly in sorted(groups, key=lambda p: (len(groups[p][1]), p)):
+        size, rep = groups[poly]
+        print(f"group jones={poly!r} size={size} rep={rep!r}")
     return EXIT_OK
 
 
@@ -383,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["homfly", "jones", "jones-at", "coeff", "burau"],
     )
     p.add_argument("--t", help="complex point, e.g. 1+0i")
-    p.add_argument("--k", type=int, help="z-exponent for coeff")
-    p.add_argument("--budget", type=int, help="max skein nodes")
+    p.add_argument("--k", type=_decimal, help="z-exponent for coeff")
+    p.add_argument("--budget", type=_decimal, help="max skein nodes")
     p.set_defaults(func=cmd_invariant)
 
     p = sub.add_parser("realizable", help="decide Gauss-code realizability")
@@ -396,20 +436,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--braid", required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_decimal, default=0)
     p.add_argument("--check", action="store_true", help="also compute the exact value")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_decimal)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("table", help="group braid closures by exact Jones polynomial")
-    p.add_argument("--strands", type=int, required=True)
-    p.add_argument("--maxlen", type=int, required=True)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--strands", type=_decimal, required=True)
+    p.add_argument("--maxlen", type=_decimal, required=True)
+    p.add_argument("--budget", type=_decimal)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("bench", help="memoized vs plain skein timings on torus words")
-    p.add_argument("--max-crossings", type=int, required=True)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--max-crossings", type=_decimal, required=True)
+    p.add_argument("--budget", type=_decimal)
     p.set_defaults(func=cmd_bench)
 
     return parser

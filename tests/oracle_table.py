@@ -3,14 +3,59 @@
 Every word of every length up to maxlen is generated, level by level in
 alphabet order, and keyed by the least rotation of its free reduction;
 the first word of each key whose closure is a knot joins the group of
-its Jones polynomial. `knotqc table` enumerates only freely reduced
-words, so tests compare its output with this one byte for byte.
+its Jones polynomial. `knotqc table` meets only the rotation classes
+of freely reduced knot words, so tests compare its output with this one
+byte for byte.
+
+`knot_classes` is the word enumeration `knotqc table` used before it
+generated classes as necklaces: every freely reduced knot word in
+lexicographic order, deduplicated by least rotation.
 """
 
 from knotqc import skein
-from knotqc.braid import BraidWord
+from knotqc.braid import BraidWord, _cycle_count
 from knotqc.laurent import specialize_jones
 from knotqc.skein import SkeinBudget
+
+
+def _reduced_words(alphabet: list[int], length: int):
+    """Freely reduced words of one length, lexicographic in alphabet order."""
+    if length == 0:
+        yield ()
+        return
+    for prefix in _reduced_words(alphabet, length - 1):
+        last = prefix[-1] if prefix else 0
+        for e in alphabet:
+            if e != -last:
+                yield prefix + (e,)
+
+
+def _knot_words(n: int, length: int):
+    """The words of `_reduced_words` of one length on n strands whose
+    closure is a knot, in the same order."""
+    if length == 0:
+        return
+    alphabet = [e for i in range(1, n) for e in (i, -i)]
+    for prefix in _reduced_words(alphabet, length - 1):
+        at = BraidWord(n, prefix)._strand_at()
+        last = prefix[-1] if prefix else 0
+        for e in alphabet:
+            if e != -last:
+                i = abs(e) - 1
+                order = at.copy()
+                order[i], order[i + 1] = order[i + 1], order[i]
+                if _cycle_count(order) == 1:
+                    yield prefix + (e,)
+
+
+def knot_classes(n: int, length: int) -> list[tuple[tuple, tuple]]:
+    """(first word, least rotation) per rotation class of the reduced knot
+    words of one length, in the order the enumeration meets them."""
+    classes = {}
+    for letters in _knot_words(n, length):
+        key = min(letters[k:] + letters[:k] for k in range(len(letters)))
+        classes.setdefault(key, letters)
+    return [(letters, key) for key, letters in classes.items()]
 
 
 def _reduced_conjugacy_key(word: BraidWord) -> tuple:

@@ -6,11 +6,11 @@ import pytest
 
 from knotqc import cli, skein
 from knotqc.braid import BraidWord
-from knotqc.cli import _reduced_words, _table_word_count, main
+from knotqc.cli import _knot_classes, _table_word_count, main
 from knotqc.errors import ParseError
 from knotqc.report import InvariantReport
 
-from oracle_table import oracle_table
+from oracle_table import _reduced_words, knot_classes, oracle_table
 
 
 def run(capsys, *argv):
@@ -113,6 +113,30 @@ def test_budget_exit(capsys):
     )
     assert code == 2
     assert "budget" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--strands", "٣", "--maxlen", "2"],
+        ["table", "--strands", "3", "--maxlen", "2_0"],
+        ["estimate", "--braid", "1 1 1", "--epsilon", "0.5", "--delta", "0.5", "--seed", "٧"],
+        ["invariant", "--braid", "1 1 1", "--invariant", "coeff", "--k", "٢"],
+        ["invariant", "--braid", "1 1 1", "--invariant", "jones", "--budget", "1_000"],
+        ["bench", "--max-crossings", "1_0"],
+    ],
+)
+def test_integer_options_are_ascii_decimal(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "invalid" in err
+
+
+def test_budget_env_is_ascii_decimal(capsys, monkeypatch):
+    monkeypatch.setenv("KNOT_BUDGET", "1_000")
+    code, out, err = run(capsys, "invariant", "--braid", "1 1 1", "--invariant", "jones")
+    assert (code, out) == (1, "")
+    assert "ASCII decimal" in err
 
 
 def test_budget_env(capsys, monkeypatch):
@@ -464,6 +488,12 @@ def test_table_does_only_the_work_a_knot_can_need(capsys, monkeypatch):
         assert set(evaluated) <= set(specialized)
         counts[n, maxlen] = (len(evaluated), len(specialized))
     assert counts == {(4, 5): (64, 4), (4, 6): (64, 4), (3, 6): (48, 14)}
+
+
+def test_knot_classes_match_word_enumeration():
+    for n, maxlen in ((2, 11), (3, 9), (4, 7)):
+        for length in range(maxlen + 1):
+            assert _knot_classes(n, length) == knot_classes(n, length)
 
 
 def test_table_word_count_is_exact():
