@@ -4,11 +4,12 @@ import tracemalloc
 
 import pytest
 
-from knotqc import cli, skein
+from knotqc import cli, skein, table
 from knotqc.braid import BraidWord
-from knotqc.cli import _knot_classes, _table_word_count, main
+from knotqc.cli import main
 from knotqc.errors import ParseError
 from knotqc.report import InvariantReport
+from knotqc.table import _knot_classes, _table_word_count
 
 from oracle_table import _reduced_words, knot_classes, oracle_table
 
@@ -465,7 +466,7 @@ def test_table_does_only_the_work_a_knot_can_need(capsys, monkeypatch):
             for letters in _reduced_words(alphabet, length):
                 assert BraidWord(n, letters).closure_components() > 1
     evaluated, specialized = [], []
-    homfly, specialize = skein.homfly, cli.specialize_jones
+    homfly, specialize = skein.homfly, table.specialize_jones
 
     def counting_homfly(*args):
         evaluated.append(homfly(*args))
@@ -476,7 +477,7 @@ def test_table_does_only_the_work_a_knot_can_need(capsys, monkeypatch):
         return specialize(p)
 
     monkeypatch.setattr(skein, "homfly", counting_homfly)
-    monkeypatch.setattr(cli, "specialize_jones", counting_specialize)
+    monkeypatch.setattr(table, "specialize_jones", counting_specialize)
     counts = {}
     for n, maxlen in ((4, 5), (4, 6), (3, 6)):
         evaluated.clear()
@@ -501,14 +502,17 @@ def test_table_word_count_is_exact():
         alphabet = [e for i in range(1, n) for e in (i, -i)]
         for maxlen in range(6):
             words = [
-                w for length in range(maxlen + 1) for w in _reduced_words(alphabet, length)
+                w
+                for length in range((n - 1) % 2, maxlen + 1, 2)
+                for w in _reduced_words(alphabet, length)
             ]
             assert len(words) == len(set(words)) == _table_word_count(n, maxlen)
             assert all(a != -b for w in words for a, b in zip(w, w[1:]))
-    assert _table_word_count(4, 6) == 23_437
+    assert _table_word_count(4, 8) == 97_656
+    assert _table_word_count(4, 9) == 2_441_406
 
 
-@pytest.mark.parametrize("maxlen", [8, 10])
+@pytest.mark.parametrize("maxlen", [9, 10])
 def test_table_word_budget_refused_fast(capsys, maxlen):
     t0 = time.perf_counter()
     code, out, err = run(capsys, "table", "--strands", "4", "--maxlen", str(maxlen))
