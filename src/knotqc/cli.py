@@ -25,7 +25,6 @@ from .diagram import (
     euler_characteristic,
     parse_gauss,
     parse_unsigned_gauss,
-    realizable,
     realizable_unsigned,
 )
 from .errors import BudgetExceededError, ParseError
@@ -83,10 +82,7 @@ def _input_source(args):
         raise ParseError("exactly one of --braid or --gauss is required")
     if braid is not None:
         return "braid", braid, parse_braid(braid)
-    code = parse_gauss(gauss)
-    if code.entries and not realizable(code):
-        raise ParseError("Gauss code is not realizable; no diagram to compute on")
-    return "gauss", gauss, diagram_from_gauss(code)
+    return "gauss", gauss, diagram_from_gauss(parse_gauss(gauss))
 
 
 def cmd_invariant(args) -> int:
@@ -235,6 +231,8 @@ def cmd_bench(args) -> int:
     budget = _default_budget(args)
     if args.max_crossings < 0:
         raise ParseError("bench max-crossings cannot be negative")
+    if args.max_crossings > 24:  # plain rows grow as p(c-1) + p(c-2) + 1 nodes
+        raise BudgetExceededError("bench is limited to 24 crossings")
     print("bench torus closures: memoized vs plain skein recursion")
     rows = 0
     for c in range(2, args.max_crossings + 1):

@@ -8,11 +8,11 @@ slot 1 -> slot 3, in a negative crossing slot 3 -> slot 1. Split
 unknotted circles (no crossings) are tracked by a free-loop count so
 smoothing can disconnect diagrams.
 
-Every builder lays passes through one checked step, _succ, and edits
-splice the table; records are read only by the checked constructor and
-written only by crossings. Signed and unsigned Gauss text share one
-tokenizer and GaussCode's label check; unsigned realizability is
-Rosenstiehl's criterion on the labels' order.
+Every builder lays passes through one checked step, _succ, edits splice
+the table, and faces and pieces are walks over it; records are read only
+by the checked constructor and written only by crossings. Signed and
+unsigned Gauss text share one tokenizer and GaussCode's label check;
+unsigned realizability is Rosenstiehl's criterion on the labels' order.
 """
 
 from __future__ import annotations
@@ -166,20 +166,8 @@ class PDDiagram:
         pred = [0] * len(succ)
         for p, q in enumerate(succ):
             pred[q] = p
-        seen = bytearray(len(signs))
         codes = []
-        for first in range(len(signs)):
-            if seen[first]:
-                continue
-            seen[first] = 1
-            piece = [first]
-            # Strands are cycles of succ, so following succ from both
-            # passes of every member reaches the whole piece.
-            for ci in piece:
-                for q in (succ[2 * ci], succ[2 * ci + 1]):
-                    if not seen[q >> 1]:
-                        seen[q >> 1] = 1
-                        piece.append(q >> 1)
+        for piece in _pieces(self):
             # Under-passes of the negative crossings, or of all when none
             # is negative, are a start set that relabeling and reversal
             # preserve.
@@ -244,6 +232,39 @@ def _succ(arc: list[int], out: list[int]) -> list[int]:
     return succ
 
 
+def _pieces(d: PDDiagram) -> list[list[int]]:
+    """Each connected piece's crossings, in the order they are reached."""
+    succ, seen, pieces = d._passes[1], bytearray(len(d._signs)), []
+    for first in range(len(d._signs)):
+        if seen[first]:
+            continue
+        seen[first] = 1
+        piece = [first]
+        # Strands are cycles of succ, so following succ from both passes
+        # of every member reaches the whole piece.
+        for ci in piece:
+            for q in (succ[2 * ci], succ[2 * ci + 1]):
+                if not seen[q >> 1]:
+                    seen[q >> 1] = 1
+                    piece.append(q >> 1)
+        pieces.append(piece)
+    return pieces
+
+
+def _faces(d: PDDiagram) -> int:
+    """Faces of the surface the crossings span: orbits of "cross to the
+    arc's other end, then take the next slot". Corner 4x+k is slot k of
+    crossing x counterclockwise from the under-pass entry; the over-pass
+    enters on slot 2 - sign, and a pass leaves opposite its entry."""
+    signs, succ = d._signs, d._passes[1]
+    entry = [4 * (p >> 1) + (2 - signs[p >> 1] if p & 1 else 0) for p in range(len(succ))]
+    step = [0] * (4 * len(signs))
+    for p, q in enumerate(succ):
+        a, b = entry[p] ^ 2, entry[q]
+        step[a], step[b] = b & ~3 | (b + 1) & 3, a & ~3 | (a + 1) & 3
+    return _cycle_count(step)
+
+
 def _splice(d: PDDiagram, gone: tuple[int, ...], jump: dict[int, int]) -> PDDiagram:
     """``d`` without the crossings ``gone``, the others kept in order: a
     strand entering removed pass e continues at jump[e].
@@ -304,18 +325,16 @@ def _cancel_bigons(d: PDDiagram) -> PDDiagram:
 def _reduce(d: PDDiagram) -> PDDiagram:
     """Remove cancelling bigons and kinks until neither is left.
 
-    A kink is a crossing whose strand leaves it and comes straight back
-    (a Reidemeister-I loop). Smoothing it splits the loop off as one free
-    loop, which is dropped, so the link is unchanged; an isolated
-    1-crossing circle becomes one free loop.
+    A kink is a crossing a strand leaves and comes straight back to (a
+    Reidemeister-I loop): the strand entering its first pass skips it, so
+    the link is unchanged; an isolated 1-crossing circle becomes a free loop.
     """
     while True:
         d = _cancel_bigons(d)
         succ = d._passes[1]
-        for x in range(len(d._signs)):
-            if succ[2 * x] == 2 * x + 1 or succ[2 * x + 1] == 2 * x:
-                s = d.smooth_crossing(x)
-                d = PDDiagram._derived(s._signs, *s._passes, s.free_loops - 1)
+        for e in range(len(succ)):
+            if succ[e] == e ^ 1:
+                d = _splice(d, (e >> 1,), {e: succ[e ^ 1]})
                 break
         else:
             return d
@@ -479,25 +498,10 @@ def parse_unsigned_gauss(text: str) -> list[tuple[str, int]]:
 
 
 def euler_characteristic(code: GaussCode) -> tuple[int, int, int, int]:
-    """(vertices, edges, faces, chi) of the carrier surface of a signed code.
-
-    The surface is the one the crossing records of diagram_from_gauss
-    span. A corner is a (crossing, slot) pair; a face is an orbit of the
-    step that crosses the corner's arc to its other end and moves on to
-    the next slot counterclockwise.
-    """
-    crossings = diagram_from_gauss(code).crossings
-    if not crossings:
-        return (0, 0, 2, 2)
-    # Corner k is slot k % 4 of crossing k // 4. Sorted by arc, corners
-    # come in pairs: the two ends of one arc.
-    arcs = [a for x in crossings for a in x.arcs]
-    by_arc = sorted(range(len(arcs)), key=arcs.__getitem__)
-    other = [0] * len(arcs)
-    for x, y in zip(by_arc[::2], by_arc[1::2]):
-        other[x], other[y] = y, x
-    faces = _cycle_count([k - k % 4 + (k + 1) % 4 for k in other])
-    c = len(crossings)
+    """(vertices, edges, faces, chi) of the surface the crossings of
+    diagram_from_gauss span (see _faces); the empty code is a sphere."""
+    d = diagram_from_gauss(code)
+    c, faces = len(d._signs), (_faces(d) if d._signs else 2)
     return (c, 2 * c, faces, faces - c)
 
 

@@ -32,7 +32,7 @@ import cmath
 from dataclasses import dataclass
 
 from .braid import BraidWord
-from .diagram import PDDiagram, _first_violation, _reduce, closure_to_diagram
+from .diagram import PDDiagram, _faces, _first_violation, _pieces, _reduce, closure_to_diagram
 from .errors import BudgetExceededError
 from .laurent import LaurentPoly1, LaurentPoly2, specialize_jones
 
@@ -143,6 +143,9 @@ def homfly_with_stats(
         if not obj._signs and not obj.free_loops:
             raise ValueError("the diagram has no components, so no invariant")
         _check_size(len(obj._signs), obj.free_loops, budget)
+        # A planar piece spans a sphere; closures and splices stay planar.
+        if _faces(obj) - len(obj._signs) != 2 * len(_pieces(obj)):
+            raise ValueError("the diagram is not planar, so its Gauss code is not realizable")
         d = obj
     else:
         raise TypeError(f"expected a braid word or diagram, got {type(obj).__name__}")

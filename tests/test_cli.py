@@ -613,3 +613,13 @@ def test_non_finite_t_refused(capsys, invariant, t):
     )
     assert code == 1
     assert out == "" and "not finite" in err
+
+
+def test_bench_refuses_more_than_24_crossings_before_any_row(capsys):
+    # Plain rows grow as p(c) = p(c-1) + p(c-2) + 1 nodes, so the run is
+    # capped where it still takes seconds; the refusal prints no row.
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "bench", "--max-crossings", "64")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == "" and "24" in err
+    assert run(capsys, "bench", "--max-crossings", "25")[:2] == (2, "")
