@@ -17,7 +17,8 @@ Each sector's paths are kept one way only, as a sorted array of integer
 codes (one bit per label), and E_i is read off them as each path's
 partner and two weights, so a letter or a projection is an O(dim)
 gather; only the trace and the estimator build a dense sector unitary,
-under MAX_UNITARY_BYTES, per call, and keep only its diagonal.
+under MAX_UNITARY_BYTES and MAX_DENSE_WORK, per call, and keep only its
+diagonal.
 
 The weighted trace of a braid's unitary, normalized by the writhe phase
 A^-3 and the loop weight -phi per strand, equals the Jones evaluation
@@ -62,6 +63,11 @@ MAX_ANYONS = 24
 # sector dimension before anything is built: markov_trace, jones_estimate
 # and sigma_unitary refuse past it (up to 18 anyons fit at 256 MiB).
 MAX_UNITARY_BYTES = 256 * 2**20
+
+# Work budget of the dense build, letters times the sum of the sectors'
+# dim^2 (each letter is an O(dim) gather on each of dim columns), checked
+# before anything is built: about 54 letters fit on 18 anyons, 141 on 17.
+MAX_DENSE_WORK = 500_000_000
 
 # Hoeffding constant: m = ceil(8 ln(2/delta) / eps^2) samples for each
 # of the real and imaginary parts puts the combined complex estimate
@@ -193,10 +199,17 @@ def _braid_diagonals(b: BraidWord) -> list[tuple[float, int, np.ndarray]]:
     braid's unitary U there. Each U is its letters pushed through the
     identity, built per call and dropped once its diagonal is copied."""
     n = b.strands
+    sectors = _dense_sectors(n)
+    work = len(b.letters) * sum(dim * dim for _, dim in sectors)
+    if work > MAX_DENSE_WORK:
+        raise BudgetExceededError(
+            f"{len(b.letters)} letters on {n} anyons take {work} path steps "
+            f"to build densely, budget allows {MAX_DENSE_WORK}"
+        )
     return [
         (quantum_dimension(total), dim,
          _apply_letters(b.letters, n, total, np.eye(dim, dtype=complex)).diagonal().copy())
-        for total, dim in _dense_sectors(n)
+        for total, dim in sectors
     ]
 
 

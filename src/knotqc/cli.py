@@ -170,12 +170,9 @@ def cmd_estimate(args) -> int:
     if braid is None:
         raise ParseError("--braid is required")
     word = parse_braid(braid)
-    try:
-        t0 = time.perf_counter()
-        est = jones_estimate(word, args.epsilon, args.delta, args.seed)
-        elapsed = (time.perf_counter() - t0) * 1000.0
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    t0 = time.perf_counter()
+    est = jones_estimate(word, args.epsilon, args.delta, args.seed)
+    elapsed = (time.perf_counter() - t0) * 1000.0
     meta = {
         "epsilon": repr(args.epsilon),
         "delta": repr(args.delta),
@@ -309,13 +306,10 @@ def main(argv=None) -> int:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except BudgetExceededError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

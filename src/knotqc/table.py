@@ -46,13 +46,12 @@ def _table_word_count(n: int, maxlen: int) -> int:
 @functools.cache  # built on first use, not at import
 def _strand_steps(n: int) -> tuple[list[list[int]], list[bool]]:
     """The strand orders of n strands, numbered with the identity as 0:
-    steps[s][j] is the order that order s goes to under letter j of the
-    alphabet -(n-1), ..., -1, 1, ..., n-1, and knots[s] says whether order
-    s is one n-cycle."""
+    steps[s][i] is the order that order s goes to under generator i + 1,
+    which swaps strands i and i + 1 whichever its sign, and knots[s] says
+    whether order s is one n-cycle."""
     orders = list(itertools.permutations(range(n)))
     number = {order: s for s, order in enumerate(orders)}
-    swaps = [*range(n - 2, -1, -1), *range(n - 1)]  # letter j swaps i and i + 1
-    steps = [[number[o[:i] + (o[i + 1], o[i]) + o[i + 2:]] for i in swaps] for o in orders]
+    steps = [[number[o[:i] + (o[i + 1], o[i]) + o[i + 2:]] for i in range(n - 1)] for o in orders]
     return steps, [_cycle_count(list(o)) == 1 for o in orders]
 
 
@@ -61,18 +60,16 @@ def _knot_classes(n: int, length: int) -> list[tuple[tuple[int, ...], tuple[int,
     of one length on n strands whose closure is a knot, ordered by first
     word, lexicographic in the alphabet 1, -1, 2, -2, ...
 
-    The key is the class's least rotation (`_rotation_key`). A class holds
-    a freely reduced word only when its cyclic word has at most one
-    cancelling pair; with one, the first word is the one rotation that
-    splits that pair, else the class's least rotation in that alphabet.
-    Keys are generated once each, as necklaces, by the recursion of
-    Fredricksen, Kessler and Maiorana (Ruskey, Savage and Wang, J.
+    The key is the class's least rotation (`_rotation_key`). Classes are
+    generated once each, as necklaces in that alphabet, by the recursion
+    of Fredricksen, Kessler and Maiorana (Ruskey, Savage and Wang, J.
     Algorithms 1992): a[1..t] is a prefix of a necklace whose least
-    period is p, and letter j extends it when j >= a[t+1-p]. A prefix
-    with two cancelling pairs is not extended."""
-    letters = [*range(1 - n, 0), *range(1, n)]
-    top = len(letters) - 1  # letters j and top - j cancel
-    rank = [2 * abs(e) - (e > 0) for e in letters]  # place in 1, -1, 2, ...
+    period is p, and letter j extends it when j >= a[t+1-p]. A class
+    holds a freely reduced word only when its cyclic word has at most one
+    cancelling pair, so a prefix with two is not extended. The first word
+    is then the necklace itself, or with one pair the one rotation that
+    splits it."""
+    letters = [e for i in range(1, n) for e in (i, -i)]  # j and j ^ 1 cancel
     steps, knots = _strand_steps(n)
     a = [0] * (length + 1)
     found = []
@@ -81,35 +78,28 @@ def _knot_classes(n: int, length: int) -> list[tuple[tuple[int, ...], tuple[int,
         # a[1..t-1] is set; cut is the t of its one cancelling pair's second
         # letter, or 0
         row = steps[order]
-        for j in range(a[t - p], top + 1):
-            cancels = t > 1 and a[t - 1] + j == top
+        for j in range(a[t - p], len(letters)):
+            cancels = t > 1 and a[t - 1] ^ 1 == j
             if cancels and cut:
                 continue
             a[t] = j
             q = p if j == a[t - p] else t
             if t < length:
-                extend(t + 1, q, row[j], t if cancels else cut)
-            elif not length % q and knots[row[j]]:
+                extend(t + 1, q, row[j >> 1], t if cancels else cut)
+            elif not length % q and knots[row[j >> 1]]:
                 finish(t if cancels else cut)
 
     def finish(cut):
-        word = a[1:]
-        wrap = word[-1] + word[0] == top
-        if wrap and cut:
+        if cut and a[length] ^ 1 == a[1]:
             return
-        ranks = list(map(rank.__getitem__, word))
-        if wrap or cut:
-            s = cut - 1 if cut else 0
-            first = ranks[s:] + ranks[:s]
-        else:
-            low = min(ranks)
-            first, s = min((ranks[s:] + ranks[:s], s) for s, r in enumerate(ranks) if r == low)
-        found.append((first, s, tuple(map(letters.__getitem__, word))))
+        s = cut or 1
+        found.append(a[s:] + a[1:s])
 
     if length:
         extend(1, 1, 0, 0)
     found.sort()
-    return [(key[s:] + key[:s], key) for _, s, key in found]
+    words = [tuple(map(letters.__getitem__, word)) for word in found]
+    return [(word, _rotation_key(word)) for word in words]
 
 
 def _rotation_key(letters: tuple[int, ...]) -> tuple[int, ...]:

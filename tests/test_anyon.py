@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -622,3 +623,14 @@ def test_dense_unitaries_refused_past_byte_budget():
             markov_trace(BraidWord(n, (1,)))
         with pytest.raises(BudgetExceededError):
             sigma_unitary(1, n, VACUUM)
+
+
+def test_dense_build_refused_past_work_budget():
+    # 200 letters on 18 anyons would take about 22 s; 54 fit the budget.
+    b = BraidWord(18, (1,) * 200)
+    for call in (lambda: markov_trace(b), lambda: jones_estimate(b, 0.5, 0.5, 0)):
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="200 letters on 18 anyons"):
+            call()
+        assert time.perf_counter() - t0 < 1.0
+    assert 54 * 9_227_465 <= knotqc.anyon.MAX_DENSE_WORK < 55 * 9_227_465

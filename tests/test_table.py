@@ -1,5 +1,6 @@
 """`knotqc.table.census`, the library call behind `knotqc table`."""
 
+import hashlib
 import time
 
 import pytest
@@ -29,3 +30,13 @@ def test_census_word_budget_refused_fast():
     with pytest.raises(BudgetExceededError, match="2441406 reduced words"):
         census(4, 9)
     assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize(
+    "strands,maxlen,digest", [(3, 10, "5db416050a0b966d"), (4, 7, "814091febbc975e4")]
+)
+def test_table_output_is_pinned_past_the_oracle(capsys, strands, maxlen, digest):
+    # The all-words oracle stops at length 9 on 3 strands and 5 on 4.
+    assert main(["table", "--strands", str(strands), "--maxlen", str(maxlen)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
