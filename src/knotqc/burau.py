@@ -123,7 +123,11 @@ def burau_numeric(b: BraidWord, t: complex) -> np.ndarray:
     """Entrywise evaluation at t, by the same letter rule over complex numbers."""
     if t == 0:
         raise ValueError("t must be nonzero")
-    return _burau(b, 0j, 1 + 0j, t, 1 / t)
+    with np.errstate(all="ignore"):
+        m = _burau(b, 0j, 1 + 0j, t, 1 / t)
+    if not np.isfinite(m).all():
+        raise ValueError("the Burau matrix at this t is not a finite double")
+    return m
 
 
 def check_braid_relations(n: int, t: complex | None = None, tol: float = 1e-10) -> bool:

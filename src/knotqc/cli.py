@@ -25,6 +25,7 @@ from .diagram import (
     euler_characteristic,
     parse_gauss,
     parse_unsigned_gauss,
+    realizable,
     realizable_unsigned,
 )
 from .errors import BudgetExceededError, ParseError
@@ -39,20 +40,21 @@ EXIT_BUDGET = 2
 EXIT_NEGATIVE = 3
 
 
-def _resolve(value: str | None) -> str | None:
-    if value is not None and value.startswith("@"):
+def _resolve(value: str) -> str:
+    if value.startswith("@"):
         with open(value[1:], encoding="utf-8") as fh:
             return fh.read().strip()
     return value
 
 
 def _parse_complex(text: str) -> complex:
+    """A --t point: jones-at and burau divide by t, so it is nonzero."""
     try:
         z = complex(text.strip().replace("i", "j").replace(" ", ""))
     except ValueError:
         raise ParseError(f"bad complex number {text!r}") from None
-    if not cmath.isfinite(z):
-        raise ParseError(f"complex number {text!r} is not finite")
+    if not cmath.isfinite(z) or z == 0:
+        raise ParseError(f"complex number {text!r} is zero or not finite")
     return z
 
 
@@ -76,12 +78,10 @@ def _default_budget(args) -> SkeinBudget:
 def _input_source(args):
     """(kind, text, source) from --braid/--gauss flags: a BraidWord or a
     diagram, either of which the skein engine takes as it is."""
-    braid = _resolve(args.braid)
-    gauss = _resolve(getattr(args, "gauss", None))
-    if (braid is None) == (gauss is None):
-        raise ParseError("exactly one of --braid or --gauss is required")
-    if braid is not None:
+    if args.braid is not None:
+        braid = _resolve(args.braid)
         return "braid", braid, parse_braid(braid)
+    gauss = _resolve(args.gauss)
     return "gauss", gauss, diagram_from_gauss(parse_gauss(gauss))
 
 
@@ -112,8 +112,6 @@ def cmd_invariant(args) -> int:
             if args.t is None:
                 raise ParseError("jones-at needs --t")
             t = _parse_complex(args.t)
-            if t == 0:
-                raise ValueError("t must be nonzero")
             meta["t"] = args.t
         elif name == "coeff":
             if args.k is None:
@@ -142,14 +140,11 @@ def cmd_invariant(args) -> int:
 
 
 def cmd_realizable(args) -> int:
-    unsigned = _resolve(args.unsigned)
-    gauss = _resolve(args.gauss)
-    if (gauss is None) == (unsigned is None):
-        raise ParseError("exactly one of --gauss or --unsigned is required")
-    if gauss is not None:
+    if args.gauss is not None:
+        gauss = _resolve(args.gauss)
         code = parse_gauss(gauss)
+        ok = realizable(code)
         vertices, edges, faces, chi = euler_characteristic(code)
-        ok = chi == 2
         print(f"input=gauss:{gauss}")
         print(f"realizable={str(ok).lower()}")
         print(f"vertices={vertices}")
@@ -157,6 +152,7 @@ def cmd_realizable(args) -> int:
         print(f"faces={faces}")
         print(f"chi={chi}")
     else:
+        unsigned = _resolve(args.unsigned)
         sequence = parse_unsigned_gauss(unsigned)
         ok = realizable_unsigned(sequence)
         print(f"input=unsigned:{unsigned}")
@@ -167,8 +163,6 @@ def cmd_realizable(args) -> int:
 
 def cmd_estimate(args) -> int:
     braid = _resolve(args.braid)
-    if braid is None:
-        raise ParseError("--braid is required")
     word = parse_braid(braid)
     t0 = time.perf_counter()
     est = jones_estimate(word, args.epsilon, args.delta, args.seed)
@@ -259,8 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("invariant", help="exact invariant of a braid closure or Gauss code")
-    p.add_argument("--braid", help='braid word, e.g. "1 1 1" (use @file to read)')
-    p.add_argument("--gauss", help='signed Gauss code, e.g. "O1+U2+O3+U1+O2+U3+"')
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--braid", help='braid word, e.g. "1 1 1" (use @file to read)')
+    source.add_argument("--gauss", help='signed Gauss code, e.g. "O1+U2+O3+U1+O2+U3+"')
     p.add_argument(
         "--invariant",
         required=True,
@@ -272,8 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_invariant)
 
     p = sub.add_parser("realizable", help="decide Gauss-code realizability")
-    p.add_argument("--gauss", help="signed code")
-    p.add_argument("--unsigned", help='sign-free sequence, e.g. "O1 U2 O3 U1 O2 U3"')
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--gauss", help="signed code")
+    source.add_argument("--unsigned", help='sign-free sequence, e.g. "O1 U2 O3 U1 O2 U3"')
     p.set_defaults(func=cmd_realizable)
 
     p = sub.add_parser("estimate", help="Monte-Carlo Jones estimate at e^(2 pi i/5)")

@@ -265,6 +265,13 @@ def _faces(d: PDDiagram) -> int:
     return _cycle_count(step)
 
 
+def _planar(d: PDDiagram) -> bool:
+    """True iff every connected piece spans a sphere: faces - crossings
+    = 2 per piece (Euler). Closures and splices of planar diagrams stay
+    planar, so the skein checks this once, where a diagram enters."""
+    return _faces(d) - len(d._signs) == 2 * len(_pieces(d))
+
+
 def _splice(d: PDDiagram, gone: tuple[int, ...], jump: dict[int, int]) -> PDDiagram:
     """``d`` without the crossings ``gone``, the others kept in order: a
     strand entering removed pass e continues at jump[e].
@@ -507,7 +514,7 @@ def euler_characteristic(code: GaussCode) -> tuple[int, int, int, int]:
 
 def realizable(code: GaussCode) -> bool:
     """True iff the code comes from an actual planar knot diagram (chi = 2)."""
-    return euler_characteristic(code)[3] == 2
+    return _planar(diagram_from_gauss(code))
 
 
 def realizable_unsigned(sequence: list[tuple[str, int]]) -> bool:

@@ -25,6 +25,7 @@ LaurentPoly2 the letters a and z. Any other text is a ParseError.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import re
@@ -120,7 +121,7 @@ class LaurentPoly1(_Laurent):
         """Evaluate at a nonzero complex point."""
         if x == 0:
             raise ValueError("evaluation point must be nonzero (negative exponents)")
-        return sum(c * x**e for e, c in self.terms.items()) + 0j
+        return _finite_sum(c * x**e for e, c in self.terms.items())
 
     def to_text(self, var: str = "s") -> str:
         items = [
@@ -164,7 +165,7 @@ class LaurentPoly2(_Laurent):
     def evaluate(self, a: complex, z: complex) -> complex:
         if a == 0 or z == 0:
             raise ValueError("evaluation point must be nonzero (negative exponents)")
-        return sum(c * a**i * z**j for (i, j), c in self.terms.items()) + 0j
+        return _finite_sum(c * a**i * z**j for (i, j), c in self.terms.items())
 
     def mirror(self) -> "LaurentPoly2":
         """P(-a^-1, z), the value of the mirror image: a^i z^j -> (-1)^i a^-i z^j."""
@@ -195,6 +196,19 @@ class LaurentPoly2(_Laurent):
             key = (powers.get("a", 0), powers.get("z", 0))
             terms[key] = terms.get(key, 0) + coeff
         return cls(terms)
+
+
+def _finite_sum(terms) -> complex:
+    """The sum of an evaluation's terms, refused with ValueError when it is
+    not a finite double: a power can overflow, underflow to 0 under a
+    negative exponent, or leave inf and nan in the sum."""
+    try:
+        value = sum(terms) + 0j
+        if cmath.isfinite(value):
+            return value
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise ValueError("the value at this point is not a finite double")
 
 
 def _factor_text(var: str, exp: int) -> str:

@@ -32,17 +32,18 @@ import cmath
 from dataclasses import dataclass
 
 from .braid import BraidWord
-from .diagram import PDDiagram, _faces, _first_violation, _pieces, _reduce, closure_to_diagram
+from .diagram import PDDiagram, _first_violation, _planar, _reduce, closure_to_diagram
 from .errors import BudgetExceededError
 from .laurent import LaurentPoly1, LaurentPoly2, specialize_jones
 
 # Value of a split 2-component unlink: (a - a^-1) z^-1.
 DELTA = LaurentPoly2({(1, -1): 1, (-1, -1): -1})
 
-_A_SQ_INV = LaurentPoly2.monomial(1, -2, 0)
-_A_INV_Z = LaurentPoly2.monomial(1, -1, 1)
-_A_SQ = LaurentPoly2.monomial(1, 2, 0)
-_A_Z = LaurentPoly2.monomial(1, 1, 1)
+# a P(K+) - a^-1 P(K-) = z P(K0) solved for a crossing of sign s:
+# P(K_s) = a^(-2s) P(K_-s) + s a^(-s) z P(K0), as (to_switched, to_smoothed).
+_RELATION = {
+    s: (LaurentPoly2.monomial(1, -2 * s, 0), LaurentPoly2.monomial(s, -s, 1)) for s in (1, -1)
+}
 
 
 @dataclass(frozen=True)
@@ -78,12 +79,8 @@ def _evaluate(
         if isinstance(item, tuple):
             key, sign = item
             switched, smoothed = values.pop(), values.pop()
-            if sign > 0:
-                # a P(K+) = a^-1 P(K-) + z P(K0), this diagram is K+.
-                value = _A_SQ_INV * switched + _A_INV_Z * smoothed
-            else:
-                # this diagram is K-.
-                value = _A_SQ * switched - _A_Z * smoothed
+            to_switched, to_smoothed = _RELATION[sign]
+            value = to_switched * switched + to_smoothed * smoothed
         else:
             stats.nodes += 1
             if stats.nodes > budget.max_nodes:
@@ -143,8 +140,7 @@ def homfly_with_stats(
         if not obj._signs and not obj.free_loops:
             raise ValueError("the diagram has no components, so no invariant")
         _check_size(len(obj._signs), obj.free_loops, budget)
-        # A planar piece spans a sphere; closures and splices stay planar.
-        if _faces(obj) - len(obj._signs) != 2 * len(_pieces(obj)):
+        if not _planar(obj):
             raise ValueError("the diagram is not planar, so its Gauss code is not realizable")
         d = obj
     else:

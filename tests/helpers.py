@@ -1,8 +1,17 @@
-"""Shared test utilities: relation rewrites and word surgery on braids."""
+"""Shared test utilities: relation rewrites and word surgery on braids,
+and a CLI runner."""
 
 import random
 
 from knotqc.braid import BraidWord
+from knotqc.cli import main
+
+
+def run(capsys, *argv):
+    """(exit code, stdout, stderr) of one CLI call."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def insert_cancelling_pair(b: BraidWord, rng: random.Random) -> BraidWord:
