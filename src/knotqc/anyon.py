@@ -18,7 +18,11 @@ codes (one bit per label), and E_i is read off them as each path's
 partner and two weights, so a letter or a projection is an O(dim)
 gather; only the trace and the estimator build a dense sector unitary,
 under MAX_UNITARY_BYTES and MAX_DENSE_WORK, per call, and keep only its
-diagonal.
+diagonal. They build it as column blocks of the identity, one per usable
+CPU while every block keeps MIN_BLOCK_ENTRIES, pushed through the
+letters on as many threads at once; a letter's gather only moves rows,
+so each column, and the diagonal, is the same to the bit however the
+columns are split.
 
 The weighted trace of a braid's unitary, normalized by the writhe phase
 A^-3 and the loop weight -phi per strand, equals the Jones evaluation
@@ -31,7 +35,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 import random
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -68,6 +74,11 @@ MAX_UNITARY_BYTES = 256 * 2**20
 # dim^2 (each letter is an O(dim) gather on each of dim columns), checked
 # before anything is built: about 54 letters fit on 18 anyons, 141 on 17.
 MAX_DENSE_WORK = 500_000_000
+
+# Fewest entries (paths times columns) a column block of the dense build
+# may hold. Below it a thread saves nothing: two blocks of 10,368 on the
+# 144-path sector left 12-anyon traces as slow as one (2-vCPU Xeon VM).
+MIN_BLOCK_ENTRIES = 2**14
 
 # Hoeffding constant: m = ceil(8 ln(2/delta) / eps^2) samples for each
 # of the real and imaginary parts puts the combined complex estimate
@@ -194,10 +205,49 @@ def sigma_unitary(i: int, n: int, total: int) -> np.ndarray:
     return _apply_letters((-i,), n, total, np.eye(len(_codes(n, total)), dtype=complex))
 
 
+def _column_blocks(dim: int) -> list[tuple[int, int]]:
+    """[lo, hi) column ranges splitting a dim-path identity into one block
+    per usable CPU, as long as every block keeps MIN_BLOCK_ENTRIES."""
+    columns = -(-MIN_BLOCK_ENTRIES // dim)  # the fewest a block may have
+    count = max(1, min(len(os.sched_getaffinity(0)), dim // columns))
+    bounds = [dim * k // count for k in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _sector_diagonal(letters, n: int, total: int, dim: int) -> np.ndarray:
+    """U_pp of the letters on one sector: each column block of the
+    identity is pushed through the letters, one on this thread and the
+    others on short-lived threads (numpy releases the GIL in the gather
+    and the in-place updates), and writes its slice of the diagonal.
+    Row operations never mix columns, so the blocks change no bit."""
+    diagonal = np.empty(dim, dtype=complex)
+    errors: list[BaseException] = []
+
+    def run(lo: int, hi: int) -> None:
+        try:
+            block = np.zeros((dim, hi - lo), dtype=complex)
+            np.fill_diagonal(block[lo:hi], 1)  # columns lo..hi-1 of the identity
+            diagonal[lo:hi] = _apply_letters(letters, n, total, block)[lo:hi].diagonal()
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    first, *rest = _column_blocks(dim)
+    workers = [threading.Thread(target=run, args=block) for block in rest]
+    for worker in workers:
+        worker.start()
+    run(*first)
+    for worker in workers:
+        worker.join()
+    if errors:
+        raise errors[0]
+    return diagonal
+
+
 def _braid_diagonals(b: BraidWord) -> list[tuple[float, int, np.ndarray]]:
     """(quantum dimension, dim, U_pp) for each sector: the diagonal of the
     braid's unitary U there. Each U is its letters pushed through the
-    identity, built per call and dropped once its diagonal is copied."""
+    identity, built per call in column blocks, each dropped once its
+    slice of the diagonal is copied."""
     n = b.strands
     sectors = _dense_sectors(n)
     work = len(b.letters) * sum(dim * dim for _, dim in sectors)
@@ -206,11 +256,14 @@ def _braid_diagonals(b: BraidWord) -> list[tuple[float, int, np.ndarray]]:
             f"{len(b.letters)} letters on {n} anyons take {work} path steps "
             f"to build densely, budget allows {MAX_DENSE_WORK}"
         )
-    return [
-        (quantum_dimension(total), dim,
-         _apply_letters(b.letters, n, total, np.eye(dim, dtype=complex)).diagonal().copy())
-        for total, dim in sectors
-    ]
+    # The larger sector, tau's, is built first: the smaller one's blocks
+    # can fall under glibc's mmap threshold, so the heap keeps what they
+    # free, and built first that would stay resident under the larger
+    # one's peak (273 against 234 MB max RSS at 54 letters on 18 anyons).
+    diagonals = {
+        total: _sector_diagonal(b.letters, n, total, dim) for total, dim in reversed(sectors)
+    }
+    return [(quantum_dimension(total), dim, diagonals[total]) for total, dim in sectors]
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,9 @@ homomorphism property, and determinants.
 
 from __future__ import annotations
 
+import cmath
+import sys
+
 import numpy as np
 
 from .braid import BraidWord
@@ -123,8 +126,12 @@ def burau_numeric(b: BraidWord, t: complex) -> np.ndarray:
     """Entrywise evaluation at t, by the same letter rule over complex numbers."""
     if t == 0:
         raise ValueError("t must be nonzero")
+    t_inv = 1 / complex(t)
+    # A zero or subnormal 1/t has lost its digits, so -i letters would be wrong.
+    if not cmath.isfinite(t_inv) or abs(t_inv) < sys.float_info.min:
+        raise ValueError(f"1/t at t = {t} is not a normal double")
     with np.errstate(all="ignore"):
-        m = _burau(b, 0j, 1 + 0j, t, 1 / t)
+        m = _burau(b, 0j, 1 + 0j, t, t_inv)
     if not np.isfinite(m).all():
         raise ValueError("the Burau matrix at this t is not a finite double")
     return m

@@ -1,6 +1,8 @@
 import cmath
 import math
+import os
 import random
+import threading
 import time
 import tracemalloc
 
@@ -33,6 +35,7 @@ from knotqc.anyon import (
     _act,
     _apply_letters,
     _braid_diagonals,
+    _column_blocks,
     _hadamard_zero_probs,
     _pair_table,
     _project_pair,
@@ -634,3 +637,61 @@ def test_dense_build_refused_past_work_budget():
             call()
         assert time.perf_counter() - t0 < 1.0
     assert 54 * 9_227_465 <= knotqc.anyon.MAX_DENSE_WORK < 55 * 9_227_465
+
+
+def _usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def test_column_blocks_keep_the_least_entries(monkeypatch):
+    _usable_cpus(monkeypatch, 2)
+    # 2 CPUs split the 233- and 377-path sectors of 13 and 14 anyons, not 144.
+    assert _column_blocks(144) == [(0, 144)]
+    assert _column_blocks(233) == [(0, 116), (116, 233)]
+    assert len(_column_blocks(377)) == 2
+    _usable_cpus(monkeypatch, 64)
+    for dim in (1, 144, 233, 377, 2584):
+        blocks = _column_blocks(dim)
+        assert blocks[0][0] == 0 and blocks[-1][1] == dim
+        assert all(lo < hi for lo, hi in blocks)
+        assert all(hi == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
+        if len(blocks) > 1:
+            assert min(dim * (hi - lo) for lo, hi in blocks) >= knotqc.anyon.MIN_BLOCK_ENTRIES
+
+
+@pytest.mark.parametrize("n, length", [(13, 40), (14, 40), (18, 3)])
+def test_column_blocks_change_no_bit_of_the_diagonal(monkeypatch, n, length):
+    b = random_braid(n, length, n)
+    # The one-block build is the identity pushed through the letters whole.
+    want = [
+        _apply_letters(b.letters, n, total, np.eye(dim, dtype=complex)).diagonal().tobytes()
+        for total, dim in knotqc.anyon._dense_sectors(n)
+    ]
+    for cpus in (1, 2, 3):
+        _usable_cpus(monkeypatch, cpus)
+        assert [d.tobytes() for _, _, d in _braid_diagonals(b)] == want
+
+
+def test_trace_and_estimate_leave_no_thread_running(monkeypatch):
+    _usable_cpus(monkeypatch, 3)
+    before = threading.active_count()
+    b = random_braid(14, 20, 1)
+    markov_trace(b)
+    jones_estimate(b, 0.5, 0.5, 0)
+    assert threading.active_count() == before
+
+
+def test_a_block_thread_error_is_raised_in_the_caller(monkeypatch):
+    _usable_cpus(monkeypatch, 2)
+    caller, apply = threading.get_ident(), knotqc.anyon._apply_letters
+
+    def failing(letters, n, total, x):
+        if threading.get_ident() != caller:
+            raise MemoryError("block thread")
+        return apply(letters, n, total, x)
+
+    monkeypatch.setattr(knotqc.anyon, "_apply_letters", failing)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="block thread"):
+        markov_trace(BraidWord(14, (1, -3)))
+    assert threading.active_count() == before

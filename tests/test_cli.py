@@ -319,6 +319,13 @@ def test_burau_letter_budget_refused_fast(capsys):
     assert run(capsys, *argv)[0] == 0
 
 
+def test_gauss_code_is_sized_after_its_kinks_are_removed(capsys):
+    # The unknot with 70 kinks is over the 64-crossing budget as given.
+    kinks = "".join(f"O{i}+U{i}+" for i in range(1, 71))
+    code, out, _ = run(capsys, "invariant", "--gauss", kinks, "--invariant", "homfly")
+    assert code == 0 and InvariantReport.from_text(out).value == "1"
+
+
 def test_free_loops_budget_refused_fast(capsys):
     t0 = time.perf_counter()
     code, out, err = run(capsys, "invariant", "--braid", "n=1600 1", "--invariant", "jones")

@@ -55,3 +55,24 @@ def test_burau_numeric_refuses_non_finite_matrix():
     with pytest.raises(ValueError, match="finite"):
         burau_numeric(BraidWord(3, tuple(int(e) for e in ALTERNATING.split())), 1e-200)
 
+
+
+@pytest.mark.parametrize("t", ["1e308+1e308i", "1e308i", "1e-310"])
+def test_cli_refuses_t_without_a_normal_reciprocal(capsys, t):
+    # 1/t is subnormal, zero or infinite: -1 used to print the Burau matrix
+    # [[0, 1], [0, 1]] at 1e308+1e308i, its t^-1 entry flushed to zero.
+    code, out, err = run(capsys, "invariant", "--braid", "-1", "--invariant", "burau", "--t", t)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "1/t" in err
+
+
+@pytest.mark.parametrize("t", [1e308 + 1e308j, 5e307 - 2e308j, 1e-310, float("inf")])
+def test_burau_numeric_refuses_t_without_a_normal_reciprocal(t):
+    with pytest.raises(ValueError, match="1/t"):
+        burau_numeric(BraidWord(2, (1,)), t)
+
+
+def test_burau_numeric_keeps_a_normal_reciprocal():
+    # 1/1e307 is normal, so the -1 block keeps its t^-1 entry.
+    m = burau_numeric(BraidWord(2, (-1,)), 1e307)
+    assert m[1, 0] == 1 / 1e307 and m[1, 1] == 1 - 1 / 1e307

@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+import time
 
 import pytest
 
@@ -11,6 +13,7 @@ from knotqc.diagram import (
     closure_to_diagram,
     diagram_from_gauss,
     gauss_from_diagram,
+    parse_gauss,
 )
 from knotqc.errors import BudgetExceededError
 from knotqc.laurent import LaurentPoly1, LaurentPoly2
@@ -290,6 +293,40 @@ def test_free_loops_count_against_crossing_budget():
     # A diagram is sized the same way, by its crossings and free loops.
     with pytest.raises(BudgetExceededError, match="3 crossings and 3 free loops"):
         homfly(closure_to_diagram(BraidWord(5, (1, 1, 1))), budget)
+
+
+def _kinks(count: int) -> str:
+    """The unknot with ``count`` kinks, as a signed Gauss code."""
+    return "".join(f"O{i}+U{i}+" for i in range(1, count + 1))
+
+
+def test_diagram_is_sized_after_its_kinks_and_bigons_are_removed():
+    # 70 crossings are over the default 64, but _reduce leaves one free loop.
+    assert homfly(diagram_from_gauss(parse_gauss(_kinks(70)))) == UNKNOT
+    # The trefoil closure with 70 kinks appended reduces to its 3 crossings.
+    trefoil = gauss_from_diagram(closure_to_diagram(BraidWord(2, (1, 1, 1)))).to_text()
+    kinked = trefoil + "".join(f"O{i}+U{i}+" for i in range(4, 74))
+    assert homfly(diagram_from_gauss(parse_gauss(kinked))) == TREFOIL
+
+
+def test_raw_diagram_cap_bounds_reduction_time():
+    cap = skein.MAX_RAW_CROSSINGS
+    # At the cap: a torus knot of 501 crossings after 499 kinks, which
+    # _reduce takes back to the 501 crossings, refused by the budget after.
+    torus = gauss_from_diagram(closure_to_diagram(BraidWord(2, (1,) * 501))).to_text()
+    shifted = re.sub(r"\d+", lambda m: str(int(m[0]) + cap - 501), torus)
+    worst = diagram_from_gauss(parse_gauss(_kinks(cap - 501) + shifted))
+    assert len(worst._signs) == cap
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="501 crossings and 0 free loops"):
+        homfly(worst)
+    assert time.perf_counter() - t0 < 2.0
+    # One past the cap is refused before any reduction.
+    over = diagram_from_gauss(parse_gauss(_kinks(cap + 1)))
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=f"{cap + 1} crossings before"):
+        homfly(over)
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_unmemoized_node_bound_on_torus_words():
