@@ -1,6 +1,8 @@
 """Exact knot invariants from braids and diagrams, plus a Fibonacci-anyon
 simulator whose measurement statistics approximate Jones evaluations."""
 
+import importlib
+
 from .braid import BraidWord, Permutation, parse_braid, random_braid
 from .diagram import (
     Crossing,
@@ -28,23 +30,38 @@ from .skein import (
     jones,
     jones_at,
 )
-from .burau import PolyMatrix, burau_numeric, burau_symbolic, check_braid_relations
-from .anyon import (
-    AnyonState,
-    JonesEstimate,
-    QubitLayout,
-    apply_braid,
-    fusion_basis,
-    fusion_probabilities,
-    init_state,
-    jones_estimate,
-    jones_via_trace,
-    markov_trace,
-    prob_all_zero,
-    sample_measurement,
-    sigma_unitary,
-    trace_normalization,
+
+# The burau and anyon names load numpy, so they are imported on first use
+# (PEP 562) and, looked up each time, are not kept in this module's globals.
+_LAZY = dict.fromkeys(
+    ("PolyMatrix", "burau_numeric", "burau_symbolic", "check_braid_relations"), "burau"
+) | dict.fromkeys(
+    (
+        "AnyonState",
+        "JonesEstimate",
+        "QubitLayout",
+        "apply_braid",
+        "fusion_basis",
+        "fusion_probabilities",
+        "init_state",
+        "jones_estimate",
+        "jones_via_trace",
+        "markov_trace",
+        "prob_all_zero",
+        "sample_measurement",
+        "sigma_unitary",
+        "trace_normalization",
+    ),
+    "anyon",
 )
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
 
 __all__ = [
     "AnyonState",

@@ -11,6 +11,7 @@ homomorphism property, and determinants.
 from __future__ import annotations
 
 import cmath
+import math
 import sys
 
 import numpy as np
@@ -90,17 +91,17 @@ class PolyMatrix:
         return f"PolyMatrix({self.to_text()})"
 
 
-def _burau(b: BraidWord, zero, one, t, t_inv) -> np.ndarray:
+def _burau(b: BraidWord, zero, one, t, t_inv, a, c) -> np.ndarray:
     """The identity times each letter's block, over the ring of the given
-    constants. Letter +-i rewrites only columns x = i and y = i+1: +i to
-    ((1-t)x + y, tx), and -i to (t^-1 y, x + (1-t^-1)y)."""
+    constants, with a = 1 - t and c = 1 - t^-1. Letter +-i rewrites only
+    columns x = i and y = i+1: +i to (ax + y, tx), and -i to (t^-1 y, x +
+    cy)."""
     if b.strands > MAX_BURAU_STRANDS:
         raise BudgetExceededError(
             f"Burau matrix on {b.strands} strands, budget allows {MAX_BURAU_STRANDS}"
         )
     m = np.full((b.strands, b.strands), zero)
     np.fill_diagonal(m, one)
-    a, c = one - t, one - t_inv
     for e in b.letters:
         i = abs(e) - 1
         x, y = m[:, i], m[:, i + 1]
@@ -118,22 +119,37 @@ def burau_symbolic(b: BraidWord) -> PolyMatrix:
             f"symbolic Burau matrix of {len(b.letters)} letters, "
             f"budget allows {MAX_BURAU_LETTERS}"
         )
-    m = _burau(b, _ZERO, _ONE, LaurentPoly1({1: 1}), LaurentPoly1({-1: 1}))
+    t, t_inv = LaurentPoly1({1: 1}), LaurentPoly1({-1: 1})
+    m = _burau(b, _ZERO, _ONE, t, t_inv, _ONE - t, _ONE - t_inv)
     return PolyMatrix(m.tolist())
 
 
 def burau_numeric(b: BraidWord, t: complex) -> np.ndarray:
-    """Entrywise evaluation at t, by the same letter rule over complex numbers."""
+    """Entrywise evaluation at t, by the same letter rule over complex
+    numbers. A letter's update of an entry, a complex product and sum, is
+    off by a few units of roundoff u of the sum of its terms' magnitudes;
+    at 4u a letter, the product bound (Higham 2002, ch. 3) puts a word of L
+    letters within about ((1 + 4u)^L - 1) max B, where B is the rule run
+    over the constants' magnitudes. A matrix whose bound passes 1e-6 of its
+    largest entry (or of 1) is refused."""
     if t == 0:
         raise ValueError("t must be nonzero")
     t_inv = 1 / complex(t)
     # A zero or subnormal 1/t has lost its digits, so -i letters would be wrong.
     if not cmath.isfinite(t_inv) or abs(t_inv) < sys.float_info.min:
         raise ValueError(f"1/t at t = {t} is not a normal double")
+    a, c = 1 - t, 1 - t_inv
     with np.errstate(all="ignore"):
-        m = _burau(b, 0j, 1 + 0j, t, t_inv)
+        m = _burau(b, 0j, 1 + 0j, t, t_inv, a, c)
+        bound = _burau(b, 0.0, 1.0, abs(t), abs(t_inv), abs(a), abs(c)).max()
     if not np.isfinite(m).all():
         raise ValueError("the Burau matrix at this t is not a finite double")
+    four_u = 2 * sys.float_info.epsilon  # epsilon is twice the unit roundoff
+    error = math.expm1(len(b.letters) * math.log1p(four_u)) * bound
+    if not error <= 1e-6 * max(1.0, np.abs(m).max()):
+        raise BudgetExceededError(
+            f"rounding error of the Burau matrix at t = {t} may reach {error:.3g}"
+        )
     return m
 
 

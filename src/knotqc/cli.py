@@ -17,9 +17,7 @@ import os
 import sys
 import time
 
-from .anyon import jones_estimate
 from .braid import _INT, BraidWord, parse_braid
-from .burau import burau_numeric, burau_symbolic
 from .diagram import (
     diagram_from_gauss,
     euler_characteristic,
@@ -98,6 +96,8 @@ def cmd_invariant(args) -> int:
     if name == "burau":
         if kind != "braid":
             raise ParseError("burau needs a braid input")
+        from .burau import burau_numeric, burau_symbolic  # numpy, on first use
+
         if args.t is not None:
             m = burau_numeric(source, _parse_complex(args.t))
             rows = [
@@ -162,6 +162,8 @@ def cmd_realizable(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    from .anyon import jones_estimate  # numpy, on first use
+
     braid = _resolve(args.braid)
     word = parse_braid(braid)
     t0 = time.perf_counter()

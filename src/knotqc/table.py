@@ -7,15 +7,17 @@ order is an n-cycle, of sign (-1)^(n-1), and a word of length L has sign
 (`_knot_lengths`); the word budget counts those lengths alone. Rotation keeps
 the closure, so each rotation class is met once, as the first of its words in
 lexicographic order (`_knot_classes`); keys have their word's length, so they
-never recur across lengths. The skein runs once per orbit of a class under
-three symmetries that keep length, free reduction and the knot test: reversal
-and the flip i -> n - i close to the link turned by pi about the plane's
-horizontal and vertical axes (reversal also reverses the knot, which HOMFLY
-does not see), and the mirror, every letter negated, closes to the mirror
-image, whose HOMFLY is P(-a^-1, z). An evaluated class is the first of its
-orbit, so the orbit's other classes, at most seven, are met later and take
-their value from `pending`; every class still joins its group in order. Each
-distinct HOMFLY value of a request is specialized to Jones once.
+never recur across lengths. The Hecke engine (`hecke.homfly`, with one
+trace dict per request, and `budget.max_nodes` bounding the terms each call
+writes) runs once per orbit of a class under three symmetries that keep
+length, free reduction and the knot test: reversal and the flip i -> n - i
+close to the link turned by pi about the plane's horizontal and vertical
+axes (reversal also reverses the knot, which HOMFLY does not see), and the
+mirror, every letter negated, closes to the mirror image, whose HOMFLY is
+P(-a^-1, z). An evaluated class is the first of its orbit, so the orbit's
+other classes, at most seven, are met later and take their value from
+`pending`; every class still joins its group in order. Each distinct HOMFLY
+value of a request is specialized to Jones once.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from . import skein
+from . import hecke, skein
 from .braid import BraidWord, _cycle_count
 from .errors import BudgetExceededError, ParseError
 from .laurent import specialize_jones
@@ -138,7 +140,7 @@ def census(n: int, maxlen: int, budget: skein.SkeinBudget | None = None) -> list
             f"table of {n} strands up to length {maxlen} has {count} reduced words, "
             f"budget allows {_TABLE_MAX_WORDS}"
         )
-    memo: dict = {}
+    trace: dict = {}
     group_of: dict = {}  # HOMFLY value -> its group
     groups: dict[str, list] = {}  # Jones text -> [Jones, size, rep]
     for length in _knot_lengths(n, maxlen):
@@ -146,7 +148,7 @@ def census(n: int, maxlen: int, budget: skein.SkeinBudget | None = None) -> list
         for letters, key in _knot_classes(n, length):
             value = pending.pop(key, None)
             if value is None:
-                value = skein.homfly(BraidWord(n, letters), budget, memo)
+                value = hecke.homfly(BraidWord(n, letters), budget, trace)
                 mirror = value.mirror()
                 for image, mirrored in _symmetric_words(n, letters):
                     pending[_rotation_key(image)] = mirror if mirrored else value

@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from knotqc import cli, skein, table
+from knotqc import cli, hecke, table
 from knotqc.braid import BraidWord
 from knotqc.cli import main
 from knotqc.errors import ParseError
@@ -473,7 +473,7 @@ def test_table_does_only_the_work_a_knot_can_need(capsys, monkeypatch):
             for letters in _reduced_words(alphabet, length):
                 assert BraidWord(n, letters).closure_components() > 1
     evaluated, specialized = [], []
-    homfly, specialize = skein.homfly, table.specialize_jones
+    homfly, specialize = hecke.homfly, table.specialize_jones
 
     def counting_homfly(*args):
         evaluated.append(homfly(*args))
@@ -483,7 +483,7 @@ def test_table_does_only_the_work_a_knot_can_need(capsys, monkeypatch):
         specialized.append(p)
         return specialize(p)
 
-    monkeypatch.setattr(skein, "homfly", counting_homfly)
+    monkeypatch.setattr(hecke, "homfly", counting_homfly)
     monkeypatch.setattr(table, "specialize_jones", counting_specialize)
     counts = {}
     for n, maxlen in ((4, 5), (4, 6), (3, 6)):

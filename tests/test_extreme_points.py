@@ -1,10 +1,16 @@
 """Numeric evaluation far from the unit circle: a value that is not a
-finite double is refused, never returned and never a traceback."""
+finite double, or a Burau matrix whose rounding bound passes 1e-6 of its
+largest entry, is refused, never returned and never a traceback."""
 
+import random
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from knotqc.braid import BraidWord
-from knotqc.burau import burau_numeric
+from knotqc.burau import _burau, burau_numeric
+from knotqc.errors import BudgetExceededError
 from knotqc.laurent import LaurentPoly1, LaurentPoly2
 from knotqc.skein import jones_at
 
@@ -76,3 +82,38 @@ def test_burau_numeric_keeps_a_normal_reciprocal():
     # 1/1e307 is normal, so the -1 block keeps its t^-1 entry.
     m = burau_numeric(BraidWord(2, (-1,)), 1e307)
     assert m[1, 0] == 1 / 1e307 and m[1, 1] == 1 - 1 / 1e307
+
+
+# (1 -2 3)^40 and its inverse: the identity, whose entries at t = 10 came
+# out near 5e59 from rounding alone.
+CANCELLING = " ".join(["1 -2 3"] * 40 + ["-3 2 -1"] * 40)
+
+
+def test_cli_refuses_burau_lost_to_rounding(capsys):
+    argv = ["invariant", "--braid", f"n=4 {CANCELLING}", "--invariant", "burau", "--t", "10"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("budget error:") and "rounding" in err
+
+
+def test_burau_numeric_is_refused_or_within_its_bound():
+    # 200 (word, t) pairs, |t| from 1e-3 to 1e3 and words of 1-200 letters,
+    # against the exact matrix over the rationals by the same letter rule:
+    # a double t is a dyadic rational.
+    rng = random.Random(18)
+    verdicts = []
+    for _ in range(200):
+        t = rng.choice((1, -1)) * 10 ** rng.uniform(-3, 3)
+        n = rng.randint(2, 5)
+        letters = [rng.randrange(1, n) * rng.choice((1, -1)) for _ in range(rng.randint(1, 200))]
+        word = BraidWord(n, tuple(letters))
+        try:
+            m = burau_numeric(word, t)
+        except BudgetExceededError:
+            verdicts.append("refused")
+            continue
+        x = Fraction(t)
+        exact = _burau(word, Fraction(0), Fraction(1), x, 1 / x, 1 - x, 1 - 1 / x)
+        assert np.abs(m - exact.astype(float)).max() <= 1e-6 * max(1.0, np.abs(m).max())
+        verdicts.append("answered")
+    assert verdicts.count("answered") >= 40 and verdicts.count("refused") >= 40
