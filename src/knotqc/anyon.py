@@ -20,9 +20,9 @@ gather; only the trace and the estimator build a dense sector unitary,
 under MAX_UNITARY_BYTES and MAX_DENSE_WORK, per call, and keep only its
 diagonal. They build it as column blocks of the identity, one per usable
 CPU while every block keeps MIN_BLOCK_ENTRIES, pushed through the
-letters on as many threads at once; a letter's gather only moves rows,
-so each column, and the diagonal, is the same to the bit however the
-columns are split.
+letters on one thread pool per braid, or on the calling thread when no
+sector splits; a letter's gather only moves rows, so each column, and
+the diagonal, is the same to the bit however the columns are split.
 
 The weighted trace of a braid's unitary, normalized by the writhe phase
 A^-3 and the loop weight -phi per strand, equals the Jones evaluation
@@ -37,7 +37,7 @@ import cmath
 import math
 import os
 import random
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -214,35 +214,6 @@ def _column_blocks(dim: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _sector_diagonal(letters, n: int, total: int, dim: int) -> np.ndarray:
-    """U_pp of the letters on one sector: each column block of the
-    identity is pushed through the letters, one on this thread and the
-    others on short-lived threads (numpy releases the GIL in the gather
-    and the in-place updates), and writes its slice of the diagonal.
-    Row operations never mix columns, so the blocks change no bit."""
-    diagonal = np.empty(dim, dtype=complex)
-    errors: list[BaseException] = []
-
-    def run(lo: int, hi: int) -> None:
-        try:
-            block = np.zeros((dim, hi - lo), dtype=complex)
-            np.fill_diagonal(block[lo:hi], 1)  # columns lo..hi-1 of the identity
-            diagonal[lo:hi] = _apply_letters(letters, n, total, block)[lo:hi].diagonal()
-        except BaseException as exc:  # re-raised on the calling thread
-            errors.append(exc)
-
-    first, *rest = _column_blocks(dim)
-    workers = [threading.Thread(target=run, args=block) for block in rest]
-    for worker in workers:
-        worker.start()
-    run(*first)
-    for worker in workers:
-        worker.join()
-    if errors:
-        raise errors[0]
-    return diagonal
-
-
 def _braid_diagonals(b: BraidWord) -> list[tuple[float, int, np.ndarray]]:
     """(quantum dimension, dim, U_pp) for each sector: the diagonal of the
     braid's unitary U there. Each U is its letters pushed through the
@@ -256,14 +227,32 @@ def _braid_diagonals(b: BraidWord) -> list[tuple[float, int, np.ndarray]]:
             f"{len(b.letters)} letters on {n} anyons take {work} path steps "
             f"to build densely, budget allows {MAX_DENSE_WORK}"
         )
+
+    def run(total: int, dim: int, lo: int, hi: int) -> np.ndarray:
+        block = np.zeros((dim, hi - lo), dtype=complex)
+        np.fill_diagonal(block[lo:hi], 1)  # columns lo..hi-1 of the identity
+        return _apply_letters(b.letters, n, total, block)[lo:hi].diagonal().copy()
+
     # The larger sector, tau's, is built first: the smaller one's blocks
     # can fall under glibc's mmap threshold, so the heap keeps what they
     # free, and built first that would stay resident under the larger
     # one's peak (273 against 234 MB max RSS at 54 letters on 18 anyons).
-    diagonals = {
-        total: _sector_diagonal(b.letters, n, total, dim) for total, dim in reversed(sectors)
-    }
-    return [(quantum_dimension(total), dim, diagonals[total]) for total, dim in sectors]
+    blocks = [
+        (total, dim, lo, hi)
+        for total, dim in reversed(sectors)
+        for lo, hi in _column_blocks(dim)
+    ]
+    if len(blocks) == len(sectors):
+        slices = list(map(run, *zip(*blocks)))
+    else:
+        # numpy releases the GIL in the gather and the in-place updates;
+        # the pool re-raises a block's error here and joins its threads.
+        with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
+            slices = list(pool.map(run, *zip(*blocks)))
+    diagonals = {total: [] for total, _ in sectors}
+    for (total, *_), piece in zip(blocks, slices):
+        diagonals[total].append(piece)
+    return [(quantum_dimension(t), dim, np.concatenate(diagonals[t])) for t, dim in sectors]
 
 
 @dataclass(frozen=True)

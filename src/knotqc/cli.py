@@ -39,9 +39,11 @@ EXIT_NEGATIVE = 3
 
 
 def _resolve(value: str) -> str:
+    """The value, or for @path that file's text with each run of
+    whitespace, newlines included, made one space: one report line."""
     if value.startswith("@"):
         with open(value[1:], encoding="utf-8") as fh:
-            return fh.read().strip()
+            return " ".join(fh.read().split())
     return value
 
 

@@ -140,6 +140,10 @@ def homfly_with_stats(
     before that past MAX_RAW_CROSSINGS."""
     budget = budget or SkeinBudget()
     if isinstance(obj, BraidWord):
+        # Free reduction changes no value, node or memo hit: _reduce
+        # cancels the same pairs as bigons. It serves only this size
+        # check, made before the closure is built so that n=1000000 1
+        # is refused without allocating one.
         b = obj.free_reduce()
         touched = {abs(e) + k for e in b.letters for k in (0, 1)}
         _check_size(len(b.letters), b.strands - len(touched), budget)

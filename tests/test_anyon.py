@@ -695,3 +695,18 @@ def test_a_block_thread_error_is_raised_in_the_caller(monkeypatch):
     with pytest.raises(MemoryError, match="block thread"):
         markov_trace(BraidWord(14, (1, -3)))
     assert threading.active_count() == before
+
+
+def test_no_pool_starts_when_no_sector_splits(monkeypatch):
+    # Up to 12 anyons the larger sector has 144 paths, too few to split
+    # on any CPU count, so every workload estimate and 12-anyon trace
+    # runs on the calling thread.
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(knotqc.anyon, "ThreadPoolExecutor", no_pool)
+    _usable_cpus(monkeypatch, 64)
+    for n in range(2, 13):
+        b = random_braid(n, 20, n)
+        assert cmath.isfinite(markov_trace(b))
+        assert cmath.isfinite(jones_estimate(b, 0.5, 0.5, 0).value)

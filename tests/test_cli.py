@@ -180,6 +180,40 @@ def test_gauss_from_file(tmp_path, capsys):
     assert "realizable=true" in out
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["invariant", "--invariant", "jones", "--braid"], "1 1\n1"),
+        (["invariant", "--invariant", "jones", "--gauss"], "O1+U2+\nO3+U1+\n\tO2+U3+\n"),
+        (["estimate", "--epsilon", "0.5", "--delta", "0.5", "--seed", "3", "--braid"], "1 1\n1"),
+    ],
+)
+def test_multiline_file_input_round_trips(tmp_path, capsys, argv, text):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    line = " ".join(text.split())
+    code, out, _ = run(capsys, *argv, f"@{path}")
+    assert code == 0
+    report = InvariantReport.from_text(out)
+    assert report.input_text == line
+    code, inline, _ = run(capsys, *argv, line)
+    assert code == 0
+    one_line = InvariantReport.from_text(inline)
+    assert (report.value, report.estimate) == (one_line.value, one_line.estimate)
+
+
+def test_multiline_file_input_gives_realizable_one_input_line(tmp_path, capsys):
+    for flag, text in (("--gauss", "O1+U2+O3+\nU1+O2+U3+\n"), ("--unsigned", "O1 U2\nO3 U1\nO2 U3")):
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        code, out, _ = run(capsys, "realizable", flag, f"@{path}")
+        assert code == 0
+        assert [line for line in out.splitlines() if "input=" in line] == [
+            "input=" + flag[2:] + ":" + " ".join(text.split())
+        ]
+        assert all("=" in line for line in out.splitlines())
+
+
 def test_unsigned_guard_refuses_past_400_labels_within_a_second(capsys):
     text = " ".join([f"O{k}" for k in range(1, 402)] + [f"U{k}" for k in range(401, 0, -1)])
     t0 = time.perf_counter()

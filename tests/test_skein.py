@@ -95,6 +95,27 @@ def test_engine_entry_takes_a_braid_or_its_closure():
         )
 
 
+def test_free_reduction_changes_nothing_the_skein_computes():
+    # _reduce cancels a freely cancelling pair as a bigon, so the closure
+    # of a braid and of its free reduction give one value, node count and
+    # memo-hit count: the engine frees braids only to size them early.
+    rng = random.Random(33)
+    unreduced = 0
+    for _ in range(300):
+        n = rng.randrange(2, 6)
+        gens = rng.sample(range(1, n), rng.randrange(1, n))
+        letters = tuple(
+            rng.choice(gens) * rng.choice((1, -1)) for _ in range(rng.randrange(0, 17))
+        )
+        b = BraidWord(n, letters)
+        reduced = b.free_reduce()
+        unreduced += reduced != b
+        assert homfly_with_stats(closure_to_diagram(b)) == homfly_with_stats(
+            closure_to_diagram(reduced)
+        )
+    assert unreduced > 150
+
+
 @pytest.mark.parametrize("obj", ["1 1 1", (1, 1, 1), None, TREFOIL])
 def test_engine_entry_refuses_other_inputs(obj):
     for call in (homfly_with_stats, homfly, jones, lambda o: jones_at(o, 1j),
