@@ -16,13 +16,14 @@ B + B^-1 E_i with B = A^+-1, the pair's vacuum projector is E_i/phi
 Each sector's paths are kept one way only, as a sorted array of integer
 codes (one bit per label), and E_i is read off them as each path's
 partner and two weights, so a letter or a projection is an O(dim)
-gather; only the trace and the estimator build a dense sector unitary,
-under MAX_UNITARY_BYTES and MAX_DENSE_WORK, per call, and keep only its
-diagonal. They build it as column blocks of the identity, one per usable
-CPU while every block keeps MIN_BLOCK_ENTRIES, pushed through the
-letters on one thread pool per braid, or on the calling thread when no
-sector splits; a letter's gather only moves rows, so each column, and
-the diagonal, is the same to the bit however the columns are split.
+gather. The trace and the estimator read only the diagonal of each
+sector's braid unitary: they push the identity through the letters in
+column chunks of about CHUNK_ENTRIES entries, on one thread pool per
+braid (on the calling thread when no sector splits), and keep each
+chunk's slice of the diagonal, so a few chunks are in flight, never the
+dim^2 unitary. MAX_DENSE_WORK bounds the build. A letter's gather only
+moves rows, so each column, and the diagonal, is the same to the bit
+however the columns are chunked.
 
 The weighted trace of a braid's unitary, normalized by the writhe phase
 A^-3 and the loop weight -phi per strand, equals the Jones evaluation
@@ -64,21 +65,23 @@ TRACE_LOOP_WEIGHT = -PHI
 # A path of n anyons is an (n+1)-bit code; 24 anyons is about 75k paths.
 MAX_ANYONS = 24
 
-# Byte budget of one dense complex unitary on a sector plus the same-size
-# x[partner] gather _act allocates for each letter, checked from the
-# sector dimension before anything is built: markov_trace, jones_estimate
-# and sigma_unitary refuse past it (up to 18 anyons fit at 256 MiB).
+# Byte budget of a dense letter matrix from sigma_unitary plus the
+# same-size x[partner] gather _act allocates for it, checked from n's
+# larger sector before anything is built (up to 18 anyons fit at 256 MiB).
 MAX_UNITARY_BYTES = 256 * 2**20
 
-# Work budget of the dense build, letters times the sum of the sectors'
-# dim^2 (each letter is an O(dim) gather on each of dim columns), checked
-# before anything is built: about 54 letters fit on 18 anyons, 141 on 17.
+# Work budget of the trace and the estimator, max(1, letters) times the
+# sum of the sectors' dim^2 (each letter is an O(dim) gather on each of
+# dim columns; with no letter, filling the identity is the work), checked
+# before anything is built: 54 letters fit on 18 anyons, 3 on 21, 1 on 22.
 MAX_DENSE_WORK = 500_000_000
 
-# Fewest entries (paths times columns) a column block of the dense build
-# may hold. Below it a thread saves nothing: two blocks of 10,368 on the
-# 144-path sector left 12-anyon traces as slow as one (2-vCPU Xeon VM).
-MIN_BLOCK_ENTRIES = 2**14
+# Entries (paths times columns) of one column chunk of the trace's build,
+# at least 16 columns each. 2^15 keeps the 144-path sector of 12 anyons
+# whole, so no pool starts for the 8-12-anyon estimates; at 2^18 the
+# unsplit 14-anyon traces took 1.4-2 times as long, and 1-column chunks
+# on 22 anyons 3 times as long as 16-column ones (2-vCPU Xeon VM).
+CHUNK_ENTRIES = 2**15
 
 # Hoeffding constant: m = ceil(8 ln(2/delta) / eps^2) samples for each
 # of the real and imaginary parts puts the combined complex estimate
@@ -96,22 +99,9 @@ def quantum_dimension(charge: int) -> float:
 
 
 def _dense_sectors(n: int) -> list[tuple[int, int]]:
-    """(total, dim) of each nonempty sector of n anyons, refused with
-    BudgetExceededError when a dense unitary on one and the gather that
-    builds it would not fit. The dimensions are Fibonacci numbers, so no
-    path is enumerated first."""
-    vacuum, tau = 1, 0
-    for _ in range(n):
-        vacuum, tau = tau, vacuum + tau
-        # Stop at the first count past the budget: the dimensions grow
-        # exponentially, and so would the loop's ints and the message.
-        nbytes = 2 * max(vacuum, tau) ** 2 * np.dtype(complex).itemsize
-        if nbytes > MAX_UNITARY_BYTES:
-            raise BudgetExceededError(
-                f"a dense unitary on {n} anyons and its x[partner] gather need "
-                f"at least {nbytes} bytes, budget allows {MAX_UNITARY_BYTES}"
-            )
-    return [(total, dim) for total, dim in ((VACUUM, vacuum), (TAU, tau)) if dim]
+    """(total, dim) of each nonempty sector of n anyons."""
+    dims = ((total, len(_codes(n, total))) for total in (VACUUM, TAU))
+    return [(total, dim) for total, dim in dims if dim]
 
 
 @lru_cache(maxsize=2 * (MAX_ANYONS + 1))
@@ -122,7 +112,9 @@ def _codes(n: int, total: int) -> np.ndarray:
     if n < 0:
         raise ValueError("anyon count cannot be negative")
     if n > MAX_ANYONS:
-        raise ValueError(f"path enumeration is limited to {MAX_ANYONS} anyons")
+        raise BudgetExceededError(
+            f"path enumeration on {n} anyons, budget allows {MAX_ANYONS}"
+        )
     if total not in (VACUUM, TAU):
         raise ValueError(f"total charge must be VACUUM (0) or TAU (1), not {total!r}")
     codes = np.zeros(1, dtype=np.int64)
@@ -201,58 +193,53 @@ def sigma_unitary(i: int, n: int, total: int) -> np.ndarray:
     and inspection; the simulator applies the table."""
     if i < 1:
         raise ValueError(f"exchange index {i} out of range for {n} anyons")
-    _dense_sectors(n)  # refuses past MAX_UNITARY_BYTES
+    largest = max(dim for _, dim in _dense_sectors(n))
+    nbytes = 2 * largest**2 * np.dtype(complex).itemsize
+    if nbytes > MAX_UNITARY_BYTES:
+        raise BudgetExceededError(
+            f"a dense unitary on {n} anyons and its x[partner] gather need "
+            f"{nbytes} bytes, budget allows {MAX_UNITARY_BYTES}"
+        )
     return _apply_letters((-i,), n, total, np.eye(len(_codes(n, total)), dtype=complex))
 
 
 def _column_blocks(dim: int) -> list[tuple[int, int]]:
-    """[lo, hi) column ranges splitting a dim-path identity into one block
-    per usable CPU, as long as every block keeps MIN_BLOCK_ENTRIES."""
-    columns = -(-MIN_BLOCK_ENTRIES // dim)  # the fewest a block may have
-    count = max(1, min(len(os.sched_getaffinity(0)), dim // columns))
-    bounds = [dim * k // count for k in range(count + 1)]
-    return list(zip(bounds, bounds[1:]))
+    """[lo, hi) chunks of a dim-path identity's columns, each of
+    max(16, CHUNK_ENTRIES // dim) columns but the last."""
+    width = max(16, CHUNK_ENTRIES // dim)
+    return [(lo, min(lo + width, dim)) for lo in range(0, dim, width)]
 
 
 def _braid_diagonals(b: BraidWord) -> list[tuple[float, int, np.ndarray]]:
     """(quantum dimension, dim, U_pp) for each sector: the diagonal of the
-    braid's unitary U there. Each U is its letters pushed through the
-    identity, built per call in column blocks, each dropped once its
-    slice of the diagonal is copied."""
+    braid's unitary U there. Each column chunk of the identity is pushed
+    through the letters and dropped once its slice of the diagonal is
+    copied."""
     n = b.strands
     sectors = _dense_sectors(n)
-    work = len(b.letters) * sum(dim * dim for _, dim in sectors)
+    work = max(1, len(b.letters)) * sum(dim * dim for _, dim in sectors)
     if work > MAX_DENSE_WORK:
         raise BudgetExceededError(
             f"{len(b.letters)} letters on {n} anyons take {work} path steps "
-            f"to build densely, budget allows {MAX_DENSE_WORK}"
+            f"to trace, budget allows {MAX_DENSE_WORK}"
         )
 
     def run(total: int, dim: int, lo: int, hi: int) -> np.ndarray:
-        block = np.zeros((dim, hi - lo), dtype=complex)
-        np.fill_diagonal(block[lo:hi], 1)  # columns lo..hi-1 of the identity
-        return _apply_letters(b.letters, n, total, block)[lo:hi].diagonal().copy()
+        chunk = np.zeros((dim, hi - lo), dtype=complex)
+        np.fill_diagonal(chunk[lo:hi], 1)  # columns lo..hi-1 of the identity
+        return _apply_letters(b.letters, n, total, chunk)[lo:hi].diagonal().copy()
 
-    # The larger sector, tau's, is built first: the smaller one's blocks
-    # can fall under glibc's mmap threshold, so the heap keeps what they
-    # free, and built first that would stay resident under the larger
-    # one's peak (273 against 234 MB max RSS at 54 letters on 18 anyons).
-    blocks = [
-        (total, dim, lo, hi)
-        for total, dim in reversed(sectors)
-        for lo, hi in _column_blocks(dim)
-    ]
-    if len(blocks) == len(sectors):
-        slices = list(map(run, *zip(*blocks)))
+    chunks = [(total, dim, lo, hi) for total, dim in sectors for lo, hi in _column_blocks(dim)]
+    if len(chunks) == len(sectors):
+        slices = list(map(run, *zip(*chunks)))
     else:
         # numpy releases the GIL in the gather and the in-place updates;
-        # the pool re-raises a block's error here and joins its threads.
+        # the pool re-raises a chunk's error here and joins its threads.
         with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
-            slices = list(pool.map(run, *zip(*blocks)))
-    diagonals = {total: [] for total, _ in sectors}
-    for (total, *_), piece in zip(blocks, slices):
-        diagonals[total].append(piece)
-    return [(quantum_dimension(t), dim, np.concatenate(diagonals[t])) for t, dim in sectors]
+            slices = list(pool.map(run, *zip(*chunks)))
+    # The chunks tile the first sector's columns, then the second's.
+    diagonals = np.split(np.concatenate(slices), [sectors[0][1]])
+    return [(quantum_dimension(t), dim, d) for (t, dim), d in zip(sectors, diagonals)]
 
 
 @dataclass(frozen=True)

@@ -39,12 +39,12 @@ EXIT_NEGATIVE = 3
 
 
 def _resolve(value: str) -> str:
-    """The value, or for @path that file's text with each run of
+    """The value, or for @path that file's text, with each run of
     whitespace, newlines included, made one space: one report line."""
     if value.startswith("@"):
         with open(value[1:], encoding="utf-8") as fh:
-            return " ".join(fh.read().split())
-    return value
+            value = fh.read()
+    return " ".join(value.split())
 
 
 def _parse_complex(text: str) -> complex:

@@ -74,9 +74,10 @@ def test_fusion_basis_and_pair_tables_match_frozen_oracle():
                 for g, w in zip(got, want):
                     assert np.array_equal(g, w)
                     assert not g.flags.writeable
-    for n in (-1, MAX_ANYONS + 1):
-        with pytest.raises(ValueError):
-            fusion_basis(n, VACUUM)
+    with pytest.raises(ValueError):
+        fusion_basis(-1, VACUUM)
+    with pytest.raises(BudgetExceededError):
+        fusion_basis(MAX_ANYONS + 1, VACUUM)
 
 
 def test_fusion_paths_admissible():
@@ -617,13 +618,15 @@ def test_byte_budget_counts_the_gather(monkeypatch):
     # gather as much again, so 150 MiB admits the unitary but not both.
     monkeypatch.setattr(knotqc.anyon, "MAX_UNITARY_BYTES", 150 * 2**20)
     with pytest.raises(BudgetExceededError, match="unitary .* gather"):
-        markov_trace(BraidWord(18, (1,)))
+        sigma_unitary(1, 18, TAU)
 
 
 def test_dense_unitaries_refused_past_byte_budget():
+    # The trace builds no dense unitary: 19 anyons run, 30 pass MAX_ANYONS.
+    assert cmath.isfinite(markov_trace(BraidWord(19, (1,))))
+    with pytest.raises(BudgetExceededError):
+        markov_trace(BraidWord(30, (1,)))
     for n in (19, 30):
-        with pytest.raises(BudgetExceededError):
-            markov_trace(BraidWord(n, (1,)))
         with pytest.raises(BudgetExceededError):
             sigma_unitary(1, n, VACUUM)
 
@@ -639,24 +642,45 @@ def test_dense_build_refused_past_work_budget():
     assert 54 * 9_227_465 <= knotqc.anyon.MAX_DENSE_WORK < 55 * 9_227_465
 
 
+def test_trace_past_eighteen_anyons_matches_skein():
+    # Each braid fits the work budget; 22 anyons admit one letter.
+    for n, length in ((19, 6), (20, 3), (21, 1), (22, 1)):
+        b = random_braid(n, length, n)
+        assert abs(jones_via_trace(b) - jones_at(b, T5)) < 1e-8
+
+
+def test_trace_keeps_a_few_chunks_in_flight():
+    # The 2,584-path tau sector of 18 anyons as one dense unitary and its
+    # gather would be 204 MiB; its chunks hold 16 columns each.
+    tracemalloc.start()
+    try:
+        markov_trace(BraidWord(18, (1,)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def _usable_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
 def test_column_blocks_keep_the_least_entries(monkeypatch):
-    _usable_cpus(monkeypatch, 2)
-    # 2 CPUs split the 233- and 377-path sectors of 13 and 14 anyons, not 144.
-    assert _column_blocks(144) == [(0, 144)]
-    assert _column_blocks(233) == [(0, 116), (116, 233)]
-    assert len(_column_blocks(377)) == 2
-    _usable_cpus(monkeypatch, 64)
-    for dim in (1, 144, 233, 377, 2584):
-        blocks = _column_blocks(dim)
-        assert blocks[0][0] == 0 and blocks[-1][1] == dim
-        assert all(lo < hi for lo, hi in blocks)
-        assert all(hi == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
-        if len(blocks) > 1:
-            assert min(dim * (hi - lo) for lo, hi in blocks) >= knotqc.anyon.MIN_BLOCK_ENTRIES
+    # The 144-path sector of 12 anyons is one chunk; 233 and 377 paths split.
+    dims = (1, 144, 233, 377, 2584, 17711)
+    layouts = []
+    for cpus in (1, 2, 64):
+        _usable_cpus(monkeypatch, cpus)
+        layouts.append([_column_blocks(dim) for dim in dims])
+    assert layouts[0] == layouts[1] == layouts[2]
+    assert layouts[0][1] == [(0, 144)]
+    assert len(layouts[0][2]) == 2 and len(layouts[0][3]) > 2
+    for dim, chunks in zip(dims, layouts[0]):
+        assert chunks[0][0] == 0 and chunks[-1][1] == dim
+        assert all(lo < hi for lo, hi in chunks)
+        assert all(hi == lo for (_, hi), (lo, _) in zip(chunks, chunks[1:]))
+        width = max(16, knotqc.anyon.CHUNK_ENTRIES // dim)
+        assert all(hi - lo == width for lo, hi in chunks[:-1])
 
 
 @pytest.mark.parametrize("n, length", [(13, 40), (14, 40), (18, 3)])

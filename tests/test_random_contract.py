@@ -13,9 +13,9 @@ pytest and runs as a script too:
 
 import random
 
-# Every sector size up to 300, and 2,584, the largest sector whose dense
-# unitary fits under knotqc.anyon.MAX_UNITARY_BYTES.
-SIZES = list(range(1, 301)) + [2584]
+# Every sector size up to 300, 2,584, and the sectors of 19 to 22 anyons,
+# the largest the estimator draws from under knotqc.anyon.MAX_DENSE_WORK.
+SIZES = list(range(1, 301)) + [2584, 4181, 6765, 10946, 17711]
 SEEDS = [0, 1, 7, 2**32 + 1, 2**64 + 3] + [s * 7919 + 13 for s in range(15)]
 
 
