@@ -27,9 +27,12 @@ however the columns are chunked.
 
 The weighted trace of a braid's unitary, normalized by the writhe phase
 A^-3 and the loop weight -phi per strand, equals the Jones evaluation
-at t of the braid's trace closure. jones_estimate reproduces the
-quantum-algorithm route: sample a fusion path by its quantum dimension,
-run a simulated Hadamard test against the braid unitary, and average.
+at t of the braid's trace closure. The trace is taken piece by piece
+(BraidWord.pieces): the Jones value is the product of the pieces' times
+-phi per split, so MAX_DENSE_WORK sizes the largest piece, not the
+braid. jones_estimate reproduces the quantum-algorithm route on the
+whole braid: sample a fusion path by its quantum dimension, run a
+simulated Hadamard test against the braid unitary, and average.
 """
 
 from __future__ import annotations
@@ -70,10 +73,11 @@ MAX_ANYONS = 24
 # larger sector before anything is built (up to 18 anyons fit at 256 MiB).
 MAX_UNITARY_BYTES = 256 * 2**20
 
-# Work budget of the trace and the estimator, max(1, letters) times the
-# sum of the sectors' dim^2 (each letter is an O(dim) gather on each of
-# dim columns; with no letter, filling the identity is the work), checked
-# before anything is built: 54 letters fit on 18 anyons, 3 on 21, 1 on 22.
+# Work budget of a diagonal build, max(1, letters) times the sum of the
+# sectors' dim^2 (each letter is an O(dim) gather on each of dim columns;
+# with no letter, filling the identity is the work), checked before
+# anything is built, on the whole braid for the estimator and on each
+# piece for the trace: 54 letters fit on 18 anyons, 3 on 21, 1 on 22.
 MAX_DENSE_WORK = 500_000_000
 
 # Entries (paths times columns) of one column chunk of the trace's build,
@@ -366,12 +370,7 @@ def markov_trace(b: BraidWord, k: int = 5) -> complex:
     """Quantum-dimension-weighted normalized trace of the braid unitary."""
     if k != 5:
         raise ValueError("only the Fibonacci (k = 5) path model is implemented")
-    num = 0j
-    den = 0.0
-    for w, dim, diag in _braid_diagonals(b):
-        num += w * diag.sum()
-        den += w * dim
-    return num / den
+    return jones_via_trace(b) / trace_normalization(b.strands, b.writhe())
 
 
 def trace_normalization(n: int, writhe: int) -> complex:
@@ -380,8 +379,22 @@ def trace_normalization(n: int, writhe: int) -> complex:
 
 
 def jones_via_trace(b: BraidWord) -> complex:
-    """Jones evaluation at t = e^(2 pi i/5) through the anyon pipeline."""
-    return trace_normalization(b.strands, b.writhe()) * markov_trace(b)
+    """Jones evaluation at t = e^(2 pi i/5) through the anyon pipeline: the
+    product of the pieces' normalized traces, times the loop weight per
+    split. MAX_ANYONS bounds the whole braid, MAX_DENSE_WORK each piece."""
+    if b.strands > MAX_ANYONS:
+        raise BudgetExceededError(
+            f"trace on {b.strands} anyons, budget allows {MAX_ANYONS}"
+        )
+    pieces, splits = b.pieces()
+    value = complex(TRACE_LOOP_WEIGHT**splits)
+    for p in pieces:
+        num = den = 0
+        for w, dim, diag in _braid_diagonals(p):
+            num += w * diag.sum()
+            den += w * dim
+        value *= trace_normalization(p.strands, p.writhe()) * num / den
+    return value
 
 
 @dataclass(frozen=True)

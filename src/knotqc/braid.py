@@ -88,6 +88,41 @@ class BraidWord:
                 out.append(e)
         return BraidWord(self.strands, tuple(out))
 
+    def pieces(self) -> tuple[list["BraidWord"], int]:
+        """(pieces, splits): the closure as split unions (one split each)
+        and connected sums of the pieces' closures. Each piece is freely
+        reduced and uses each of its generators at least twice.
+
+        The word is cut at its lowest generator j used at most once into
+        the letters below j, on strands 1..j, and those above, shifted
+        down by j; the two commute. An absent j is a split; a j used once
+        is rotated to the front and dropped, for a connected sum."""
+        out: list[BraidWord] = []
+        splits = 0
+        todo = [self]
+        while todo:
+            b = todo.pop().free_reduce()
+            n, letters = b.strands, b.letters
+            if not letters:
+                splits += n - 1
+                continue
+            uses = [0] * n
+            for e in letters:
+                uses[abs(e)] += 1
+            j = next((j for j in range(1, n) if uses[j] <= 1), None)
+            if j is None:
+                out.append(b)
+                continue
+            if uses[j]:
+                at = next(k for k, e in enumerate(letters) if abs(e) == j)
+                letters = letters[at + 1:] + letters[:at]
+            else:
+                splits += 1
+            todo.append(BraidWord(n - j, tuple(e - j if e > 0 else e + j
+                                               for e in letters if abs(e) > j)))
+            todo.append(BraidWord(j, tuple(e for e in letters if abs(e) < j)))
+        return out, splits
+
     def _strand_at(self) -> list[int]:
         """at[p] is the strand that ends at position p (both 0-based)."""
         at = list(range(self.strands))

@@ -14,6 +14,26 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def split_words(count: int, seed: int, max_strands: int, max_letters: int) -> list[BraidWord]:
+    """Words on 1..max_strands strands whose letters draw from a random
+    subset of the generators; half of them also use one more generator
+    once. Their closures are mostly split unions and connected sums, with
+    free strands."""
+    rng = random.Random(seed)
+    words = []
+    for _ in range(count):
+        n = rng.randint(1, max_strands)
+        gens = list(range(1, n))
+        used = rng.sample(gens, rng.randint(min(1, n - 1), n - 1))
+        length = rng.randint(0, max_letters) if used else 0
+        letters = [rng.choice(used) * rng.choice((1, -1)) for _ in range(length)]
+        rest = [g for g in gens if g not in used]
+        if rest and rng.random() < 0.5:
+            letters.insert(rng.randint(0, length), rng.choice(rest) * rng.choice((1, -1)))
+        words.append(BraidWord(n, tuple(letters)))
+    return words
+
+
 def insert_cancelling_pair(b: BraidWord, rng: random.Random) -> BraidWord:
     """Splice sigma_i sigma_i^-1 at a random position."""
     pos = rng.randrange(len(b.letters) + 1)

@@ -44,6 +44,8 @@ from knotqc.braid import BraidWord, random_braid
 from knotqc.errors import BudgetExceededError
 from knotqc.skein import jones_at
 
+from helpers import split_words
+
 T5 = cmath.exp(2j * math.pi / 5)
 
 
@@ -632,11 +634,12 @@ def test_dense_unitaries_refused_past_byte_budget():
 
 
 def test_dense_build_refused_past_work_budget():
-    # 200 letters on 18 anyons would take about 22 s; 54 fit the budget.
-    b = BraidWord(18, (1,) * 200)
+    # 68 letters on 18 anyons, each generator four times so the trace cuts
+    # no piece, take 6.3e8 path steps; 54 fit the budget.
+    b = BraidWord(18, tuple(range(1, 18)) * 4)
     for call in (lambda: markov_trace(b), lambda: jones_estimate(b, 0.5, 0.5, 0)):
         t0 = time.perf_counter()
-        with pytest.raises(BudgetExceededError, match="200 letters on 18 anyons"):
+        with pytest.raises(BudgetExceededError, match="68 letters on 18 anyons"):
             call()
         assert time.perf_counter() - t0 < 1.0
     assert 54 * 9_227_465 <= knotqc.anyon.MAX_DENSE_WORK < 55 * 9_227_465
@@ -649,12 +652,46 @@ def test_trace_past_eighteen_anyons_matches_skein():
         assert abs(jones_via_trace(b) - jones_at(b, T5)) < 1e-8
 
 
+def _whole_trace(b):
+    """The weighted trace of the whole braid's diagonals, normalized to
+    the Jones value, with no cut."""
+    num = den = 0
+    for w, dim, diag in _braid_diagonals(b):
+        num += w * diag.sum()
+        den += w * dim
+    return trace_normalization(b.strands, b.writhe()) * num / den
+
+
+def test_trace_of_the_pieces_equals_the_whole_trace():
+    words = split_words(120, 37, 12, 24)
+    for b in words:
+        want = _whole_trace(b)
+        assert abs(jones_via_trace(b) - want) <= 1e-12 * max(1.0, abs(want)), b
+    assert sum(b.pieces()[1] >= 2 for b in words) >= 60
+    assert sum(len(b.pieces()[0]) >= 2 for b in words) >= 10
+
+
+def test_trace_reaches_any_strand_count_its_pieces_fit():
+    # The closure of n=22 1 1 1 is a trefoil and 20 split circles; unsplit
+    # it takes 1.3e9 path steps, past MAX_DENSE_WORK.
+    t0 = time.perf_counter()
+    value = markov_trace(BraidWord(22, (1, 1, 1)))
+    assert time.perf_counter() - t0 < 1.0
+    assert abs(value - markov_trace(BraidWord(2, (1, 1, 1)))) < 1e-12
+    # MAX_ANYONS bounds the whole braid, whatever its pieces.
+    for b in (BraidWord(MAX_ANYONS + 1), BraidWord(1000, (1,))):
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match=f"{b.strands} anyons"):
+            markov_trace(b)
+        assert time.perf_counter() - t0 < 1.0
+
+
 def test_trace_keeps_a_few_chunks_in_flight():
     # The 2,584-path tau sector of 18 anyons as one dense unitary and its
     # gather would be 204 MiB; its chunks hold 16 columns each.
     tracemalloc.start()
     try:
-        markov_trace(BraidWord(18, (1,)))
+        _braid_diagonals(BraidWord(18, (1,)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -717,7 +754,7 @@ def test_a_block_thread_error_is_raised_in_the_caller(monkeypatch):
     monkeypatch.setattr(knotqc.anyon, "_apply_letters", failing)
     before = threading.active_count()
     with pytest.raises(MemoryError, match="block thread"):
-        markov_trace(BraidWord(14, (1, -3)))
+        markov_trace(BraidWord(14, tuple(range(1, 14)) * 2))
     assert threading.active_count() == before
 
 

@@ -1,10 +1,13 @@
 import itertools
 import random
+import time
 
 import pytest
 
 from knotqc.braid import BraidWord, Permutation, parse_braid, random_braid
 from knotqc.errors import ParseError
+
+from helpers import split_words
 
 FIGURE_TWO = BraidWord(3, (1, -2, 1, -2, 2, -1, 2))
 
@@ -57,6 +60,42 @@ def test_free_reduce_idempotent_and_shrinking():
         r = b.free_reduce()
         assert len(r) <= len(b)
         assert r.free_reduce() == r
+
+
+def test_pieces_cut_at_absent_and_once_used_generators():
+    assert BraidWord(1).pieces() == ([], 0)
+    assert BraidWord(4, (1, 2, 3)).pieces() == ([], 0)
+    assert BraidWord(5, (1, 3, -1, 3)).pieces() == ([BraidWord(2, (1, 1))], 3)
+    # 2 is used once: rotated to the front and dropped, it leaves
+    # 1 3 -1 1 1 3, whose letters below 2 reduce to 1 1.
+    assert BraidWord(4, (1, 3, 2, 1, 3, -1, 1)).pieces() == (
+        [BraidWord(2, (1, 1)), BraidWord(2, (1, 1))],
+        0,
+    )
+    assert BraidWord(6, (1, 1, 2, -1, 4, 4, 4, 2)).pieces() == (
+        [BraidWord(3, (1, 1, 2, -1, 2)), BraidWord(2, (1, 1, 1))],
+        2,
+    )
+
+
+def test_every_piece_is_reduced_and_uses_each_generator_twice():
+    for word in split_words(300, 5, 9, 20):
+        pieces, splits = word.pieces()
+        assert splits >= 0
+        for piece in pieces:
+            assert piece.letters and piece == piece.free_reduce()
+            uses = [sum(abs(e) == g for e in piece.letters) for g in range(1, piece.strands)]
+            assert min(uses) >= 2, (word, piece)
+
+
+def test_pieces_of_a_thousand_strands_are_quick():
+    for word, want in (
+        (BraidWord(1000, tuple(range(1, 1000))), ([], 0)),
+        (BraidWord(1000), ([], 999)),
+    ):
+        t0 = time.perf_counter()
+        assert word.pieces() == want
+        assert time.perf_counter() - t0 < 1.0
 
 
 def test_permutation_examples():

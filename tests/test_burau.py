@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+import knotqc.burau
 from knotqc.braid import BraidWord, random_braid
 from knotqc.burau import (
     PolyMatrix,
@@ -57,6 +58,20 @@ def test_numeric_relations():
         t = cmath.exp(2j * math.pi * rng.random())
         assert check_braid_relations(8, t=t, tol=1e-10)
     assert check_braid_relations(6, t=cmath.exp(2j * math.pi / 7))
+
+
+@pytest.mark.parametrize("broken", [(1, 2, 1), (1, 3)])
+def test_numeric_relations_catch_one_broken_word(monkeypatch, broken):
+    # The first length-three relation and the nearest far-commuting pair
+    # are each checked: a representation off on that one word fails.
+    numeric = knotqc.burau.burau_numeric
+
+    def perturbed(word, t):
+        m = numeric(word, t)
+        return m + 1e-3 if word.letters == broken else m
+
+    monkeypatch.setattr(knotqc.burau, "burau_numeric", perturbed)
+    assert not check_braid_relations(5, t=cmath.exp(2j * math.pi / 7))
 
 
 def test_homomorphism():

@@ -9,9 +9,9 @@ import pytest
 from knotqc import hecke, skein
 from knotqc.braid import BraidWord
 from knotqc.errors import BudgetExceededError
-from knotqc.skein import SkeinBudget
+from knotqc.skein import DELTA, SkeinBudget
 
-from helpers import run
+from helpers import run, split_words
 
 
 def _seeded_words(count: int, seed: int) -> list[BraidWord]:
@@ -43,6 +43,22 @@ def test_hecke_equals_skein_on_seeded_braids():
         for w, u in zip(words, used)
     ) >= 20  # a free strand
     assert sum(min(w.letters, default=0) < 0 < max(w.letters, default=0) for w in words) >= 100
+
+
+def test_homfly_multiplies_over_the_pieces():
+    # Split unions multiply P and add a DELTA; connected sums multiply it.
+    words = split_words(500, 36, 7, 20)
+    for word in words:
+        pieces, splits = word.pieces()
+        product = DELTA**splits
+        for piece in pieces:
+            product = product * hecke.homfly(piece)
+        assert product == hecke.homfly(word), word
+    cuts = [word.pieces() for word in words]
+    assert sum(splits >= 2 for _, splits in cuts) >= 100
+    assert sum(len(pieces) >= 2 for pieces, _ in cuts) >= 20
+    assert sum(splits == 0 and len(pieces) == 1 for pieces, splits in cuts) >= 50
+    assert sum(word.strands == 7 for word in words) >= 50
 
 
 def test_hecke_equals_skein_on_torus_families():
